@@ -18,13 +18,12 @@ caller — for reads *and* writes.
   byte-bounded LRU over decoded blocks with an optional TinyLFU-style
   frequency-aware admission gate, so Zipfian-hot data (Section 7.7.4)
   skips the wetlab entirely and scans cannot flush it.
-* :mod:`repro.service.simulator` — :class:`ServicePipeline` (alias
-  ``ServiceSimulator``): a deterministic event-driven loop that serves
-  mixed read/write arrival traces under unbatched / batched /
-  batched+cache policies — with per-object read-after-write ordering,
-  decode-failure retry cycles and a bounded wetlab lane pool — and
-  reports throughput, tail latency, cache hit rate, synthesis volume and
-  amplification waste.
+* :mod:`repro.service.simulator` — :class:`ServicePipeline`: a
+  deterministic event-driven loop that serves mixed read/write arrival
+  traces under unbatched / batched / batched+cache policies — with
+  per-object read-after-write ordering, decode-failure retry cycles and
+  a bounded wetlab lane pool — and reports throughput, tail latency,
+  cache hit rate, synthesis volume and amplification waste.
 * :mod:`repro.service.scheduler_qos` — :class:`SharedLanePool` (the
   run-global thermocycler/flow-cell lanes every cycle books onto, giving
   true per-lane utilization ≤ 1.0) and the tenant QoS admission layer:
@@ -61,7 +60,6 @@ from repro.service.requests import (
     WRITE_OPERATIONS,
     CompletedRequest,
     FailedRequest,
-    ReadRequest,
     ServiceRequest,
 )
 from repro.service.scheduler_qos import (
@@ -79,9 +77,7 @@ from repro.service.simulator import (
     PolicyReport,
     ServiceConfig,
     ServicePipeline,
-    ServiceSimulator,
     policy_latency_comparison,
-    schedule_lanes,
 )
 from repro.service.telemetry import RunTelemetry
 
@@ -103,20 +99,17 @@ __all__ = [
     "PolicyReport",
     "QoSAdmission",
     "QoSConfig",
-    "ReadRequest",
     "RequestQueue",
     "RunTelemetry",
     "ScheduledBatch",
     "ServiceConfig",
     "ServicePipeline",
     "ServiceRequest",
-    "ServiceSimulator",
     "SharedLanePool",
     "SynthesisOrder",
     "TenantQoS",
     "TokenBucket",
     "WriteOutcome",
     "policy_latency_comparison",
-    "schedule_lanes",
     "weighted_fair_shares",
 ]

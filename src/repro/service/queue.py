@@ -33,9 +33,9 @@ from repro.store.planner import BatchReadPlan, plan_partition_ranges
 class RequestQueue:
     """FIFO admission queue of pending requests, any operation.
 
-    ``drain`` empties the whole queue; ``drain_op``/``take`` remove
-    selectively (the pipeline drains reads at each dispatch but leaves
-    barrier-blocked writes queued for a later cycle).
+    ``drain_op``/``take`` remove selectively: the pipeline drains reads at
+    each dispatch but leaves barrier-blocked writes queued for a later
+    cycle.
     """
 
     def __init__(self) -> None:
@@ -47,12 +47,6 @@ class RequestQueue:
     def push(self, request: ServiceRequest) -> None:
         """Admit one request at the tail of the queue."""
         self._pending.append(request)
-
-    def drain(self) -> list[ServiceRequest]:
-        """Remove and return every pending request, oldest first."""
-        drained = self._pending
-        self._pending = []
-        return drained
 
     def drain_op(self, op: str) -> list[ServiceRequest]:
         """Remove and return the pending requests of one operation."""

@@ -8,10 +8,6 @@ reports as the Section 7.4-style p50/p95/p99 numbers.  Payload bytes are
 summarized as a CRC32 checksum so simulations over tens of thousands of
 requests stay memory-bounded while still letting benchmarks prove that
 every serving policy decoded identical bytes.
-
-``ReadRequest`` remains as an alias of :class:`ServiceRequest` (whose
-default operation is ``"read"``) for callers of the original read-only
-serving layer.
 """
 
 from __future__ import annotations
@@ -106,10 +102,6 @@ class ServiceRequest:
     def is_write(self) -> bool:
         """True for operations that mutate the store."""
         return self.op in WRITE_OPERATIONS
-
-
-#: Backwards-compatible name for the read-only serving layer's requests.
-ReadRequest = ServiceRequest
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,9 @@ charged PCR + sequencing.  Per-object read/write ordering is enforced: a
 read admitted while a write on its object is pending waits for the
 write's synthesis to commit (so it observes the written bytes), and a
 write waits for in-flight reads of its object before mutating the store —
-no request ever observes a torn state.
+no request ever observes a torn state.  That barrier is one small class,
+``_ObjectOrder``: the per-object admission order of outstanding
+operations.
 
 **Wetlab cycles run on a shared, persistent lane pool**
 (``config.wetlab_lanes``, one :class:`~repro.service.scheduler_qos.
@@ -86,8 +88,12 @@ speed with no wetlab work.
 an object as of the committed store state at a historical timestamp.
 When a trace carries them, the pipeline snapshots the store at run start
 and after every committed synthesis order (copy-on-write — no data is
-copied, see :mod:`repro.store.snapshots`); an ``as_of`` read resolves
-against the latest snapshot at or before its timestamp.  Historical
+copied, see :mod:`repro.store.snapshots`).  Writes are applied to the
+store at dispatch but commit later, so each snapshot also records the
+objects whose writes were then applied but uncommitted; an ``as_of``
+read resolves against the latest snapshot at or before its timestamp in
+which its object had no such write — per-object writes serialize, so
+that snapshot holds the object's committed bytes.  Historical
 state is immutable, so such reads skip the per-object write barrier in
 both directions: they never wait for a pending write and never delay
 one.  Their blocks are physical strands still in the pool, so under
@@ -107,7 +113,26 @@ copy-on-write redirects (fresh blocks) instead of in-place patch slots,
 so PCR access counts and cycle latencies can differ from an
 unsnapshotted store's.
 
-``ServiceSimulator`` remains as an alias of :class:`ServicePipeline`.
+**One run is one explicit state machine** (``_Run``): an event heap of
+``(hours, seq, handler, payload)`` entries, ties broken by push order,
+and one handler per event kind —
+
+* ``on_arrival`` admits a request: a write joins the queue; a read is
+  held behind an earlier write on its object, rejected, answered at
+  front-end or cache speed, or queued (dispatched at once when
+  unbatched);
+* ``on_dispatch`` closes a scheduling window: QoS admission picks the
+  queued reads, they are batched into one wetlab cycle on the lane pool,
+  and every queued write whose object barrier is clear is applied and
+  coalesced into one synthesis order;
+* ``on_synthesis`` commits an order: its writes are acknowledged and the
+  reads held behind them released;
+* ``on_complete`` delivers a wetlab cycle: riders whose blocks decoded
+  are served, the rest ride a deeper-coverage retry cycle or fail once
+  the retry budget is spent.
+
+The run's counters are attributes named after the :class:`PolicyReport`
+fields they fill.
 """
 
 from __future__ import annotations
@@ -297,37 +322,6 @@ class ServiceConfig:
             return self.reads_per_block
         scaled = self.reads_per_block * self.retry_coverage_factor ** (attempt - 1)
         return max(int(scaled), self.reads_per_block + attempt - 1)
-
-
-def schedule_lanes(
-    durations: "list[float]", lane_count: int
-) -> list[tuple[int, float, float]]:
-    """Greedy earliest-free-lane packing of unit durations (one cycle).
-
-    Units are assigned in submission order to the lane that frees up
-    first (ties broken by lane index), mirroring a lab queueing jobs onto
-    identical thermocycler/flow-cell stations.  Returns one
-    ``(lane, start_hours, end_hours)`` tuple per unit, in unit order —
-    fully deterministic for a given input.
-
-    Times are relative to an empty pool: this is the standalone packing
-    primitive.  The pipeline itself books cycles through a persistent
-    :class:`~repro.service.scheduler_qos.SharedLanePool`, which is this
-    same greedy rule applied to lanes whose free-at frontiers survive
-    across cycles (an empty pool reproduces these schedules exactly).
-    """
-    if lane_count <= 0:
-        raise ServiceError("lane_count must be positive")
-    free = [0.0] * lane_count
-    schedule: list[tuple[int, float, float]] = []
-    for duration in durations:
-        if duration < 0:
-            raise ServiceError("unit durations must be non-negative")
-        lane = min(range(lane_count), key=lambda index: (free[index], index))
-        start = free[lane]
-        free[lane] = start + duration
-        schedule.append((lane, start, free[lane]))
-    return schedule
 
 
 @dataclass
@@ -684,954 +678,12 @@ class ServicePipeline:
         if not events:
             raise ServiceError("cannot simulate an empty trace")
         wetlab = self._wetlab_readout() if fidelity == "wetlab" else None
-        config = self.config
-        injector = config.decode_failure_injector
-        # Telemetry is observation only: every hook below records what
-        # happened and never touches the heap, RNG state or store, so a
-        # traced run's outcomes are byte-identical to an untraced run's.
-        tel = (
-            RunTelemetry(policy=policy, fidelity=fidelity)
-            if tracing_enabled(config.tracing)
-            else None
-        )
-
-        requests: list[ServiceRequest] = []
-        failed: list[FailedRequest] = []
-
-        # Per-object FIFO of outstanding operations, in admission order.
-        # An operation leaves its FIFO only at its terminal event (read
-        # served/failed; write committed or apply-failed), which yields
-        # exact per-object ordering:
-        #   * a read proceeds only once every write admitted *before* it
-        #     is terminal — it observes exactly those writes, never a
-        #     later one;
-        #   * a write applies only once everything admitted before it is
-        #     terminal or riding the same synthesis order — it can never
-        #     overtake an earlier read or write.
-        # Entries are mutable [kind, request_id, dispatched] triples.
-        object_fifo: dict[str, list[list]] = {}
-        held_reads: dict[int, ServiceRequest] = {}
-
-        def fifo_append(request: ServiceRequest) -> None:
-            object_fifo.setdefault(request.object_name, []).append(
-                ["write" if request.is_write else "read", request.request_id, False]
-            )
-
-        def fifo_remove(name: str, request_id: int) -> None:
-            entries = object_fifo.get(name)
-            if not entries:
-                return
-            remaining = [entry for entry in entries if entry[1] != request_id]
-            if remaining:
-                object_fifo[name] = remaining
-            else:
-                del object_fifo[name]
-
-        def write_ahead(name: str, request_id: int) -> bool:
-            """Is a write admitted before this request still outstanding?"""
-            for kind, rid, _ in object_fifo.get(name, ()):
-                if rid == request_id:
-                    return False
-                if kind == "write":
-                    return True
-            return False
-
-        def reject(
-            index: int,
-            event: RequestEvent,
-            reason: str,
-            *,
-            now: float | None = None,
-            attempts: int = 0,
-        ) -> None:
-            fifo_remove(event.object_name, index)
-            if tel is not None:
-                tel.failed(index, now if now is not None else event.time_hours, reason)
-            failed.append(
-                FailedRequest(
-                    request_id=index,
-                    tenant=event.tenant,
-                    object_name=event.object_name,
-                    offset=event.offset,
-                    length=event.length,
-                    arrival_hours=event.time_hours,
-                    reason=reason,
-                    op=getattr(event, "op", "read"),
-                    failure_hours=now if now is not None else event.time_hours,
-                    attempts=attempts,
-                )
-            )
-
-        for index, event in enumerate(events):
-            # Structurally malformed events are rejected before a request
-            # object exists; range-vs-object validation happens at arrival
-            # (it needs the catalog).  Either way the failure is the
-            # request's alone.
-            try:
-                requests.append(
-                    ServiceRequest(
-                        request_id=index,
-                        tenant=event.tenant,
-                        object_name=event.object_name,
-                        offset=event.offset,
-                        length=event.length,
-                        arrival_hours=event.time_hours,
-                        # Duck-typed events predating the write path may
-                        # lack op/payload/as_of; default to a plain read.
-                        op=getattr(event, "op", "read"),
-                        payload=getattr(event, "payload", None),
-                        as_of=getattr(event, "as_of", None),
-                        priority=getattr(event, "priority", None),
-                        deadline_hours=getattr(event, "deadline_hours", None),
-                    )
-                )
-            except DnaStorageError as exc:
-                reject(index, event, str(exc))
-
-        # Time-travel support: when the trace carries as_of reads, the
-        # committed-state timeline is sampled as copy-on-write snapshots —
-        # one at run start, one per committed synthesis order.  Traces
-        # without as_of reads pay nothing, and sampling stops after the
-        # trace's largest as_of (resolution only ever looks backwards, so
-        # later snapshots would be unreachable — and every live snapshot
-        # forces subsequent updates to CoW-redirect, so taking them has a
-        # real cost).
-        time_travel = any(request.as_of is not None for request in requests)
-        max_as_of = max(
-            (request.as_of for request in requests if request.as_of is not None),
-            default=float("-inf"),
-        )
-        timeline: list[tuple[float, object]] = []
-        if time_travel:
-            timeline.append((float("-inf"), self.store.snapshot()))
-        #: request_id -> resolved StoreSnapshot for admitted as_of reads.
-        asof_views: dict[int, object] = {}
-
-        def resolve_as_of(as_of: float):
-            """Latest committed-state snapshot at or before ``as_of``."""
-            for taken, snapshot in reversed(timeline):
-                if taken <= as_of:
-                    return snapshot
-            return timeline[0][1]
-
-        cache = (
-            DecodedBlockCache(
-                config.cache_capacity_bytes, admission=config.cache_admission
-            )
-            if policy == "batched+cache"
-            else None
-        )
-        # The run's cache rides the store for the duration of the event
-        # loop so applied writes (update patches, deletes) invalidate
-        # exactly the stale keys; every simulator read passes its cache
-        # view explicitly, so the attachment affects invalidation only.
-        # A caller-attached cache keeps receiving those invalidations
-        # through the fanout shim (it must not serve stale bytes after
-        # the run restores it).
-        previous_cache = self.store.block_cache
-        if cache is not None:
-            self.store.attach_cache(
-                cache
-                if previous_cache is None
-                else _InvalidationFanout(cache, previous_cache)
-            )
-            if tel is not None:
-                cache.bind_metrics(tel.metrics)
-        queue = RequestQueue()
-        sequence_counter = itertools.count()
-        heap: list[tuple[float, int, str, object]] = [
-            (request.arrival_hours, next(sequence_counter), "arrival", request)
-            for request in requests
-        ]
-        heapq.heapify(heap)
-        # Block addressing is computed once per request at admission and
-        # shared with the scheduler (halves the extent-walk work).
-        blocks_by_id: dict[int, list[tuple[str, int]]] = {}
-
-        completed: list[CompletedRequest] = []
-        payloads: dict[int, bytes] = {}
-        distinct_requested: dict[tuple[str, int], None] = {}
-        totals = {
-            "batches": 0,
-            "reactions": 0,
-            "amplified": 0,
-            "accesses": 0,
-            "reads": 0,
-            "bytes": 0,
-            "written_bytes": 0,
-            "synthesis_orders": 0,
-            "strands": 0,
-            "nucleotides": 0,
-            "synthesis_hours": 0.0,
-            "retry_cycles": 0,
-            "retried_requests": 0,
-            "decode_failures": 0,
-            "lane_busy_hours": 0.0,
-            "qos_throttled": 0,
-            "qos_deferred": 0,
-            "deadline_violations": 0,
-        }
-        # One persistent pool of physical lanes for the whole run: every
-        # cycle (retries included) books its units onto these frontiers.
-        lane_pool = SharedLanePool(config.wetlab_lanes)
-        # QoS gates the *batch* admission window; the unbatched policy
-        # dispatches at arrival and has no window to gate.
-        qos_admission = (
-            QoSAdmission(config.qos)
-            if config.qos is not None and policy != "unbatched"
-            else None
-        )
-        dispatch_scheduled = False
-        next_batch_id = 0
-
-        def push_event(when: float, kind: str, payload_) -> None:
-            heapq.heappush(heap, (when, next(sequence_counter), kind, payload_))
-
-        def ensure_dispatch(now: float) -> None:
-            nonlocal dispatch_scheduled
-            if not dispatch_scheduled:
-                push_event(now + config.window_hours, "dispatch", None)
-                dispatch_scheduled = True
-
-        def serve(
-            request: ServiceRequest,
-            completion_hours: float,
-            *,
-            from_cache: bool,
-            batch_id: int | None,
-            block_cache=None,
-            attempts: int = 1,
-        ) -> None:
-            view_at = asof_views.get(request.request_id)
-            data = self.store.get(
-                request.object_name,
-                offset=request.offset,
-                length=request.length,
-                block_cache=block_cache if block_cache is not None else cache,
-                at=view_at,
-            )
-            if wetlab is not None:
-                # Wetlab fidelity: the served bytes came from physically
-                # decoded reads; hold them against the digital reference.
-                reference = self.store.get(
-                    request.object_name,
-                    offset=request.offset,
-                    length=request.length,
-                    block_cache=None,
-                    at=view_at,
-                )
-                if zlib.crc32(data) != zlib.crc32(reference):
-                    raise ServiceError(
-                        f"wetlab fidelity violation: request "
-                        f"{request.request_id} ({request.object_name!r} "
-                        f"[{request.offset}, +{len(reference)})) decoded "
-                        "bytes differ from the reference path"
-                    )
-            totals["bytes"] += len(data)
-            if keep_data:
-                payloads[request.request_id] = data
-            completed.append(
-                CompletedRequest(
-                    request=request,
-                    completion_hours=completion_hours,
-                    byte_count=len(data),
-                    checksum=zlib.crc32(data),
-                    served_from_cache=from_cache,
-                    batch_id=batch_id,
-                    attempts=attempts,
-                )
-            )
-            fifo_remove(request.object_name, request.request_id)
-            if config.qos is not None and request.op == "read":
-                # Deadline accounting (reads only): the request's own
-                # budget wins over its tenant profile's; violations are
-                # counted, never dropped.
-                budget = request.deadline_hours
-                if budget is None:
-                    budget = config.qos.profile(request.tenant).deadline_hours
-                if (
-                    budget is not None
-                    and completion_hours - request.arrival_hours > budget + 1e-9
-                ):
-                    totals["deadline_violations"] += 1
-                    if tel is not None:
-                        tel.deadline_violation(request, completion_hours)
-            if tel is not None:
-                tel.served(
-                    request, completion_hours, from_cache=from_cache, attempts=attempts
-                )
-
-        def release_ready(name: str, now: float) -> None:
-            """Re-admit held reads no longer behind an outstanding write.
-
-            Only the FIFO prefix up to the first still-outstanding write
-            is releasable — reads behind a later write keep waiting for
-            exactly that write.
-            """
-            for kind, rid, _ in list(object_fifo.get(name, ())):
-                if kind == "write":
-                    break
-                request = held_reads.pop(rid, None)
-                if request is not None:
-                    if tel is not None:
-                        tel.released(request, now)
-                    admit_read(request, now, released=True)
-
-        def charge(batch: ScheduledBatch, reads_per_block: int) -> None:
-            # A dispatch fully covered by the cache is not a wetlab cycle.
-            if batch.amplified_block_count > 0:
-                totals["batches"] += 1
-            totals["reactions"] += batch.reaction_count
-            totals["amplified"] += batch.amplified_block_count
-            totals["reads"] += batch.amplified_block_count * reads_per_block
-            for key in batch.requested_blocks:
-                distinct_requested.setdefault(key, None)
-            if tel is not None:
-                tel.charged(batch, reads_per_block)
-
-        def start_cycle(
-            batch: ScheduledBatch,
-            riders: tuple[ServiceRequest, ...],
-            view,
-            now: float,
-            attempt: int,
-            reads_per_block: int,
-        ) -> None:
-            """Put a cycle's units on the shared lane pool and book its
-            completion (the last of its units' absolute end times)."""
-            durations = self._cycle_durations(batch, reads_per_block)
-            schedule = lane_pool.schedule(now, durations)
-            completion = max(end for _, _, end in schedule)
-            totals["lane_busy_hours"] += sum(durations)
-            if tel is not None:
-                tel.cycle(
-                    batch,
-                    riders,
-                    schedule,
-                    now,
-                    completion,
-                    attempt,
-                    reads_per_block,
-                )
-            push_event(
-                completion,
-                "complete",
-                (batch, riders, view, attempt, reads_per_block),
-            )
-
-        def dispatch_batch(batch: ScheduledBatch, now: float) -> None:
-            """Serve a scheduled batch: cache-covered requests leave at
-            dispatch, the rest ride the wetlab cycle to completion."""
-            charge(batch, config.reads_per_block)
-            if cache is not None:
-                view = PinnedCacheView(cache, batch.pinned_payloads)
-            else:
-                # Cache-less policies still memoize decodes within the
-                # batch (wall-clock only; no reported number depends on
-                # it — work counters come from the plan).
-                view = _BatchScratch()
-            pinned_keys = frozenset(key for key, _ in batch.pinned_payloads)
-            riders: list[ServiceRequest] = []
-            for request in batch.requests:
-                if tel is not None:
-                    tel.dispatched(request, now)
-                # A request whose every block was pinned from the cache
-                # needs no wetlab of its own: it is answered at dispatch,
-                # at memory speed, not at the cycle's completion.
-                if cache is not None and all(
-                    key in pinned_keys
-                    for key in blocks_by_id[request.request_id]
-                ):
-                    if tel is not None:
-                        tel.front_end(
-                            request,
-                            now,
-                            now + config.cache_service_hours,
-                            "cache_service",
-                        )
-                    serve(
-                        request,
-                        now + config.cache_service_hours,
-                        from_cache=True,
-                        batch_id=None,
-                        block_cache=view,
-                    )
-                else:
-                    # The rider's FIFO entry stays until it is served, so
-                    # no write to its object can apply under the cycle.
-                    riders.append(request)
-            if riders:
-                start_cycle(
-                    batch, tuple(riders), view, now, 1, config.reads_per_block
-                )
-
-        def cycle_failures(
-            batch: ScheduledBatch,
-            attempt: int,
-            reads_per_block: int,
-            view,
-        ) -> dict[tuple[str, int], str]:
-            """Run a cycle physically (wetlab) and collect decode failures.
-
-            Successfully decoded blocks are published into the batch's
-            view (write-through makes them cache-visible, now that the
-            cycle is complete); failed and injected-failure blocks are
-            withheld so affected riders can retry.
-            """
-            failures: dict[tuple[str, int], str] = {}
-            planned: dict[str, list[int]] = {}
-            for access in batch.plan.accesses:
-                planned.setdefault(access.partition, []).extend(
-                    range(access.start_block, access.end_block + 1)
-                )
-            if injector is not None:
-                for partition_name, blocks in planned.items():
-                    for block in blocks:
-                        key = (partition_name, block)
-                        if injector(batch.batch_id, attempt, key):
-                            failures[key] = "injected decode failure"
-            decoded: dict[tuple[str, int], bytes] = {}
-            if wetlab is not None:
-                # Physically run the cycle: every unit amplifies its
-                # partition's pool and samples its own reads (fresh PCR
-                # and deeper coverage on retries), then decode exactly
-                # the planned block set.
-                with maybe_wall_span(
-                    "wetlab_readout",
-                    batch_id=batch.batch_id,
-                    attempt=attempt,
-                ):
-                    reads = wetlab.unit_reads_by_partition(
-                        batch.plan,
-                        batch_seed=batch.batch_id,
-                        reads_per_block=reads_per_block,
-                    )
-                decoded, decode_failures = self.store.try_decode_blocks(
-                    planned,
-                    reads,
-                    workers=config.decode_workers,
-                    shared_memory=config.decode_shared_memory,
-                    cluster_shards=config.decode_cluster_shards,
-                )
-                for key, reason in decode_failures.items():
-                    failures.setdefault(key, reason)
-                for key, data in decoded.items():
-                    # Block-level checksum gate: a misassembled readout
-                    # (e.g. a misprimed neighbour strand winning a
-                    # shallow cluster) can decode "successfully" with
-                    # wrong bytes.  Catch it here so the retry budget
-                    # covers it — deeper coverage on the next cycle —
-                    # instead of a fidelity assertion aborting the run
-                    # at serve time.
-                    if key in failures:
-                        continue
-                    reference = self.store.volume.partition(
-                        key[0]
-                    ).read_block_reference(key[1])
-                    if data != reference:
-                        failures[key] = (
-                            f"decoded bytes of block {key[1]} in partition "
-                            f"{key[0]!r} failed the reference checksum "
-                            "(misassembled readout)"
-                        )
-            with maybe_wall_span("cache_fill", blocks=len(decoded)):
-                for key, data in decoded.items():
-                    if key not in failures:
-                        # Mirror the reference path's fill sequence (lookup
-                        # miss, then insert): the miss records the block's
-                        # demand with the cache — its stats and the TinyLFU
-                        # admission sketch — before the pin makes later
-                        # serve-path lookups bypass the cache entirely.
-                        epoch = self.store.volume.block_epoch(key[0], key[1])
-                        view.get(key[0], key[1], epoch)
-                        view.put(key[0], key[1], data, epoch)
-            return failures
-
-        def complete(
-            batch: ScheduledBatch,
-            riders: tuple[ServiceRequest, ...],
-            view,
-            attempt: int,
-            reads_per_block: int,
-            completion: float,
-        ) -> None:
-            # Serving (and therefore cache fill) happens at cycle
-            # completion: blocks decoded by an in-flight cycle must not be
-            # cache-visible before the cycle's sequencing finishes.  The
-            # batch's schedule-time cache hits were pinned, so evictions
-            # during the cycle cannot turn charged work into free reads.
-            failures: dict[tuple[str, int], str] = {}
-            if batch.amplified_block_count > 0 and (
-                wetlab is not None or injector is not None
-            ):
-                failures = cycle_failures(batch, attempt, reads_per_block, view)
-                totals["decode_failures"] += len(failures)
-                if tel is not None:
-                    tel.decode_failures(len(failures))
-            retriers: list[ServiceRequest] = []
-            for request in riders:
-                if failures and any(
-                    key in failures for key in blocks_by_id[request.request_id]
-                ):
-                    retriers.append(request)
-                    continue
-                serve(
-                    request,
-                    completion,
-                    from_cache=False,
-                    batch_id=batch.batch_id,
-                    block_cache=view,
-                    attempts=attempt,
-                )
-            if retriers:
-                if attempt > config.retry_budget:
-                    for request in retriers:
-                        needed = sorted(
-                            key
-                            for key in blocks_by_id[request.request_id]
-                            if key in failures
-                        )
-                        reject(
-                            request.request_id,
-                            events[request.request_id],
-                            "decode failed after "
-                            f"{attempt} cycles (retry budget "
-                            f"{config.retry_budget}): blocks {needed} — "
-                            f"{failures[needed[0]]}",
-                            now=completion,
-                            attempts=attempt,
-                        )
-                else:
-                    # Retry cycle: only the failed blocks the retrying
-                    # requests still need, re-amplified with fresh PCR and
-                    # sequenced at deeper coverage under a fresh seed.
-                    nonlocal next_batch_id
-                    needed: dict[tuple[str, int], None] = {}
-                    for request in retriers:
-                        for key in blocks_by_id[request.request_id]:
-                            if key in failures:
-                                needed.setdefault(key, None)
-                    retry_plan = plan_partition_ranges(
-                        self.store.volume,
-                        ranges_from_block_keys(list(needed)),
-                        label=f"retry-{batch.batch_id:05d}-{attempt}",
-                    )
-                    retry_batch = ScheduledBatch(
-                        batch_id=next_batch_id,
-                        requests=tuple(retriers),
-                        plan=retry_plan,
-                        requested_blocks=(),
-                    )
-                    next_batch_id += 1
-                    next_reads = config.retry_reads_per_block(attempt + 1)
-                    charge(retry_batch, next_reads)
-                    totals["retry_cycles"] += 1
-                    totals["retried_requests"] += len(retriers)
-                    if tel is not None:
-                        tel.retried(len(retriers))
-                    start_cycle(
-                        retry_batch,
-                        tuple(retriers),
-                        view,
-                        completion,
-                        attempt + 1,
-                        next_reads,
-                    )
-            # Served/failed riders may have been the last in-flight reads
-            # blocking a queued write.
-            if policy == "unbatched":
-                pump_writes(completion)
-            elif len(queue):
-                ensure_dispatch(completion)
-
-        def pump_writes(now: float) -> None:
-            """Dispatch every queued write whose object barrier is clear.
-
-            A write is eligible only when everything admitted before it on
-            its object has reached a terminal state or is another
-            not-yet-dispatched write riding this same pump — so writes
-            serialize per object, never overtake a read, and same-window
-            writes still coalesce into one synthesis order whose
-            per-partition jobs run in parallel at the vendor.
-            """
-
-            def eligible(request: ServiceRequest) -> bool:
-                if not request.is_write:
-                    return False
-                for kind, rid, dispatched in object_fifo.get(
-                    request.object_name, ()
-                ):
-                    if rid == request.request_id:
-                        return True
-                    if kind == "read" or dispatched:
-                        # An outstanding read, or a write already riding
-                        # an uncommitted order, must not be overtaken
-                        # (queue order guarantees earlier queued writes
-                        # of this object were ruled eligible first).
-                        return False
-                return False
-
-            writes = queue.take(eligible)
-            if not writes:
-                return
-            if tel is not None:
-                for request in writes:
-                    tel.dispatched(request, now)
-            nonlocal next_batch_id
-            order = self.scheduler.schedule_writes(
-                writes, order_id=next_batch_id
-            )
-            next_batch_id += 1
-            applied = order.applied
-            rejected = False
-            for outcome in order.outcomes:
-                name = outcome.request.object_name
-                if outcome.applied:
-                    for entry in object_fifo.get(name, ()):
-                        if entry[1] == outcome.request.request_id:
-                            entry[2] = True  # dispatched, awaiting commit
-                            break
-                else:
-                    # The store rejected it (duplicate name, exhausted
-                    # update slots, bad range): this write fails alone,
-                    # at dispatch time (reject drops its FIFO entry).
-                    rejected = True
-                    reject(
-                        outcome.request.request_id,
-                        events[outcome.request.request_id],
-                        outcome.reason,
-                        now=now,
-                    )
-                    release_ready(name, now)
-            if applied:
-                totals["synthesis_orders"] += 1
-                totals["strands"] += order.strand_count
-                totals["nucleotides"] += order.nucleotide_count
-                hours = self._order_hours(order)
-                totals["synthesis_hours"] += hours
-                if tel is not None:
-                    tel.synthesis_dispatched(order, now)
-                push_event(now + hours, "synthesis", order)
-            if rejected and len(queue):
-                # A rejection's release_ready may have served held reads
-                # instantly (cache hit, zero-length, admission reject),
-                # unblocking writes queued behind them with no future
-                # event left to pump — re-arm so they are never stranded.
-                if policy == "unbatched":
-                    pump_writes(now)
-                else:
-                    ensure_dispatch(now)
-
-        def commit_order(order: SynthesisOrder, now: float) -> None:
-            """A synthesis order delivered: acknowledge its writes."""
-            if tel is not None:
-                tel.synthesis_committed(order, now)
-            if wetlab is not None:
-                # The manufactured strands join their partitions' pools;
-                # only the touched pools re-synthesize.
-                for partition_name in order.partitions:
-                    wetlab.reset_pool(partition_name)
-            released: dict[str, None] = {}
-            for outcome in order.applied:
-                request = outcome.request
-                name = request.object_name
-                fifo_remove(name, request.request_id)
-                released[name] = None
-                totals["written_bytes"] += outcome.bytes_written
-                payload_bytes = request.payload or b""
-                completed.append(
-                    CompletedRequest(
-                        request=request,
-                        completion_hours=now,
-                        byte_count=outcome.bytes_written,
-                        checksum=zlib.crc32(payload_bytes),
-                        served_from_cache=False,
-                        batch_id=order.order_id,
-                    )
-                )
-                if tel is not None:
-                    tel.served(request, now, from_cache=False, attempts=1)
-            if time_travel and now <= max_as_of:
-                # Sample the committed-state timeline: later as_of reads
-                # at or past `now` observe this order's writes.  Commits
-                # after the largest as_of in the trace need no snapshot —
-                # nothing can resolve to them.
-                timeline.append((now, self.store.snapshot()))
-            for name in released:
-                release_ready(name, now)
-            if policy == "unbatched":
-                pump_writes(now)
-            elif len(queue):
-                ensure_dispatch(now)
-
-        def admit_read(
-            request: ServiceRequest, now: float, *, released: bool = False
-        ) -> None:
-            name = request.object_name
-            view_at = None
-            if request.as_of is not None:
-                # Time-travel read: resolve the committed-state snapshot
-                # once, at admission.  Historical state is immutable, so
-                # the read joins neither side of the per-object write
-                # barrier: it never waits for a pending write (the
-                # snapshot keeps the old blocks) and never delays one.
-                view_at = resolve_as_of(request.as_of)
-                asof_views[request.request_id] = view_at
-            elif not released:
-                fifo_append(request)
-            if view_at is None and write_ahead(name, request.request_id):
-                # Read-after-write ordering: the read waits for exactly
-                # the writes admitted before it to commit, then observes
-                # their bytes (never a later write's).
-                held_reads[request.request_id] = request
-                if tel is not None:
-                    tel.held(request, now)
-                return
-            try:
-                blocks = self.scheduler.request_blocks(request, at=view_at)
-            except DnaStorageError as exc:
-                # Unknown object or range past the object's end: this
-                # request fails alone; everyone else keeps being served.
-                # (request_id indexes the time-sorted events list; `now`
-                # is the decision time — later than arrival for reads
-                # validated only after a write barrier released them.)
-                reject(
-                    request.request_id,
-                    events[request.request_id],
-                    str(exc),
-                    now=now,
-                )
-                return
-            blocks_by_id[request.request_id] = blocks
-            totals["accesses"] += len(blocks)
-            if not blocks:
-                # Zero-length read: a valid empty response needing no
-                # wetlab work — answered at front-end speed.
-                if tel is not None:
-                    tel.front_end(
-                        request, now, now + config.cache_service_hours, "front_end"
-                    )
-                serve(
-                    request,
-                    now + config.cache_service_hours,
-                    from_cache=False,
-                    batch_id=None,
-                )
-                return
-            if policy == "unbatched":
-                nonlocal next_batch_id
-                batch = self.scheduler.schedule(
-                    [request],
-                    batch_id=next_batch_id,
-                    blocks_by_request=blocks_by_id,
-                )
-                next_batch_id += 1
-                dispatch_batch(batch, now)
-                return
-            if cache is not None and all(
-                cache.contains(
-                    partition, block, self.store.volume.block_epoch(partition, block)
-                )
-                for partition, block in blocks
-            ):
-                # Fast path: every block is hot; no wetlab, no window.
-                for key in blocks:
-                    distinct_requested.setdefault(key, None)
-                if tel is not None:
-                    tel.front_end(
-                        request, now, now + config.cache_service_hours, "cache_service"
-                    )
-                serve(
-                    request,
-                    now + config.cache_service_hours,
-                    from_cache=True,
-                    batch_id=None,
-                )
-                return
-            queue.push(request)
-            if tel is not None:
-                tel.queued(request, now)
-            ensure_dispatch(now)
-
-        def admit_write(request: ServiceRequest, now: float) -> None:
-            fifo_append(request)
-            queue.push(request)
-            if tel is not None:
-                tel.queued(request, now)
-            if policy == "unbatched":
-                pump_writes(now)
-            else:
-                ensure_dispatch(now)
-
-        # A traced run activates its tracer (ambient — the decode engine
-        # and stage regions find it there) and opens a stage collector
-        # for the loop's extent; untraced runs skip both entirely.
-        run_stages: dict[str, float] = {}
-        scope = ExitStack()
-        if tel is not None:
-            scope.enter_context(activate(tel.tracer))
-            run_stages = scope.enter_context(collect_stages())
+        state = _Run(self, events, policy, fidelity, wetlab, keep_data)
         try:
-            while heap:
-                now, _, kind, payload = heapq.heappop(heap)
-                if kind == "arrival":
-                    request = payload
-                    if tel is not None:
-                        tel.admitted(request, now)
-                    if request.is_write:
-                        admit_write(request, now)
-                    else:
-                        admit_read(request, now)
-                elif kind == "dispatch":
-                    dispatch_scheduled = False
-                    # Reads drain before writes apply: a queued read arrived
-                    # before every queued write on its object (later reads
-                    # were held at admission), so scheduling it first puts it
-                    # in flight and the write barrier below keeps the store
-                    # unmutated until its cycle delivers — same-window
-                    # operations serve in arrival order.
-                    queue_depth = len(queue)
-                    if qos_admission is None:
-                        pending = queue.drain_op("read")
-                    else:
-                        # QoS admission: only rate-eligible requests within
-                        # their tenant's fair share enter this window's
-                        # batch; the rest stay queued (in arrival order)
-                        # for the next window.
-                        waiting = queue.peek_op("read")
-                        decision = qos_admission.admit(
-                            waiting,
-                            now,
-                            lambda r: len(blocks_by_id[r.request_id]),
-                        )
-                        totals["qos_throttled"] += len(decision.throttled)
-                        totals["qos_deferred"] += len(decision.deferred)
-                        if tel is not None:
-                            tel.qos_decision(decision, now)
-                        admitted_ids = {
-                            r.request_id for r in decision.admitted
-                        }
-                        pending = queue.take(
-                            lambda r: r.request_id in admitted_ids
-                        )
-                    if pending:
-                        batch = self.scheduler.schedule(
-                            pending,
-                            cache=cache,
-                            batch_id=next_batch_id,
-                            blocks_by_request=blocks_by_id,
-                        )
-                        next_batch_id += 1
-                        if tel is not None:
-                            tel.batch_scheduled(batch, queue_depth, now)
-                        dispatch_batch(batch, now)
-                    pump_writes(now)
-                    # Deferred reads need a future window: re-arm the
-                    # dispatch timer so their buckets refill / shares free
-                    # up (window_hours > 0 is enforced by ServiceConfig,
-                    # and the admission's progress guarantee admits at
-                    # least one eligible request per window, so this
-                    # terminates).
-                    if qos_admission is not None and queue.peek_op("read"):
-                        ensure_dispatch(now)
-                elif kind == "synthesis":
-                    commit_order(payload, now)
-                else:  # complete: deliver the riders and publish their blocks
-                    batch, riders, view, attempt, reads_per_block = payload
-                    complete(
-                        batch, riders, view, attempt, reads_per_block, completion=now
-                    )
-
-            # Close the tracing/stage scope before reporting; the run's
-            # collector shadowed any caller-opened one for the loop's
-            # extent, so fold the stage totals back out to it.
-            scope.close()
-            if tel is not None:
-                record_stages(run_stages)
-
-            checksum = 0
-            for item in sorted(completed, key=lambda c: c.request.request_id):
-                checksum = zlib.crc32(item.checksum.to_bytes(4, "big"), checksum)
-            # The report lists deliveries in completion order (ties broken by
-            # admission id); serves were recorded in event order, which may
-            # run ahead for requests whose completion lies in the future.
-            completed.sort(key=lambda c: (c.completion_hours, c.request.request_id))
-            failed.sort(key=lambda f: f.request_id)
-            read_latencies = [
-                item.latency_hours for item in completed if item.request.op == "read"
-            ]
-            write_latencies = [
-                item.latency_hours for item in completed if item.request.op != "read"
-            ]
-            empty = SummaryStats(
-                count=0, mean=0.0, p50=0.0, p95=0.0, p99=0.0,
-                minimum=0.0, maximum=0.0,
-            )
-            if completed:
-                makespan = max(item.completion_hours for item in completed)
-            else:  # every request was rejected
-                makespan = 0.0
-            observability = (
-                tel.finalize(
-                    makespan_hours=makespan,
-                    wetlab_lanes=config.wetlab_lanes,
-                    lane_busy_hours_by_lane=list(lane_pool.busy_hours_by_lane),
-                    lane_schedule_horizon_hours=lane_pool.horizon_hours,
-                    stage_seconds=run_stages,
-                )
-                if tel is not None
-                else None
-            )
-            return PolicyReport(
-                policy=policy,
-                fidelity=fidelity,
-                completed=tuple(completed),
-                failed=tuple(failed),
-                latency=summarize(read_latencies) if read_latencies else empty,
-                write_latency=summarize(write_latencies) if write_latencies else None,
-                makespan_hours=makespan,
-                throughput_per_hour=len(completed) / makespan if makespan else 0.0,
-                batches=totals["batches"],
-                pcr_reactions=totals["reactions"],
-                amplified_blocks=totals["amplified"],
-                requested_block_accesses=totals["accesses"],
-                distinct_requested_blocks=len(distinct_requested),
-                sequenced_reads=totals["reads"],
-                decoded_bytes=totals["bytes"],
-                written_bytes=totals["written_bytes"],
-                synthesis_orders=totals["synthesis_orders"],
-                synthesized_strands=totals["strands"],
-                synthesized_nucleotides=totals["nucleotides"],
-                synthesis_hours=totals["synthesis_hours"],
-                retry_cycles=totals["retry_cycles"],
-                retried_requests=totals["retried_requests"],
-                decode_failures=totals["decode_failures"],
-                wetlab_lanes=config.wetlab_lanes,
-                lane_busy_hours=totals["lane_busy_hours"],
-                lane_busy_hours_by_lane=lane_pool.busy_hours_by_lane,
-                lane_schedule_horizon_hours=lane_pool.horizon_hours,
-                qos_enabled=qos_admission is not None,
-                qos_throttled=totals["qos_throttled"],
-                qos_deferred=totals["qos_deferred"],
-                deadline_violations=totals["deadline_violations"],
-                checksum=checksum,
-                cache=cache.stats if cache is not None else None,
-                payloads=payloads if keep_data else None,
-                observability=observability,
-            )
+            state.loop()
+            return state.report()
         finally:
-            # Idempotent: already closed on the clean path; on an
-            # exception this deactivates the tracer and stage collector.
-            scope.close()
-            # Detach the run's cache (exceptions included) so the
-            # store's prior attachment is preserved across runs, and
-            # release the run's time-travel snapshots so blocks they
-            # pinned (e.g. pre-update versions, deleted objects) become
-            # reclaimable again.
-            self.store.block_cache = previous_cache
-            for _, snapshot in timeline:
-                if not snapshot.released:
-                    snapshot.release()
+            state.close()
 
     def _restore_seed(self, seed) -> None:
         """Rewind the store to the seed snapshot and refresh stale pools."""
@@ -1697,5 +749,888 @@ class ServicePipeline:
             seed.release()
 
 
-#: Backwards-compatible name of the original read-only simulator.
-ServiceSimulator = ServicePipeline
+class _ObjectOrder:
+    """Per-object admission order of outstanding operations.
+
+    This is the read/write barrier of block semantics.  An operation is
+    appended at admission and retired only at its terminal event (read
+    served or failed; write committed or rejected), which yields exact
+    per-object ordering:
+
+    * a read proceeds only once every write admitted *before* it is
+      terminal — it observes exactly those writes, never a later one;
+    * a write applies only once everything admitted before it is
+      terminal or riding the same synthesis order — it can never overtake
+      an earlier read or write.
+
+    Time-travel reads never enter it: historical state is immutable.
+    """
+
+    def __init__(self) -> None:
+        # object name -> [is_write, request_id, dispatched] entries, in
+        # admission order; ``dispatched`` marks a write applied to the
+        # store whose synthesis order has not committed yet.
+        self._entries: dict[str, list[list]] = {}
+
+    def append(self, request: ServiceRequest) -> None:
+        self._entries.setdefault(request.object_name, []).append(
+            [request.is_write, request.request_id, False]
+        )
+
+    def retire(self, name: str, request_id: int) -> None:
+        entries = self._entries.get(name, ())
+        for index, entry in enumerate(entries):
+            if entry[1] == request_id:
+                del entries[index]
+                if not entries:
+                    del self._entries[name]
+                return
+
+    def dispatch(self, name: str, request_id: int) -> None:
+        """Mark a write applied to the store, awaiting its commit."""
+        for entry in self._entries.get(name, ()):
+            if entry[1] == request_id:
+                entry[2] = True
+                return
+
+    def write_ahead(self, name: str, request_id: int) -> bool:
+        """Is a write admitted before this request still outstanding?"""
+        for is_write, rid, _ in self._entries.get(name, ()):
+            if rid == request_id:
+                return False
+            if is_write:
+                return True
+        return False
+
+    def write_eligible(self, request: ServiceRequest) -> bool:
+        """May this queued write apply now?
+
+        Only when everything admitted before it on its object is terminal
+        or another not-yet-dispatched write: queue order guarantees those
+        earlier writes were ruled eligible first, so they ride the same
+        synthesis order.
+        """
+        if not request.is_write:
+            return False
+        for is_write, rid, dispatched in self._entries.get(request.object_name, ()):
+            if rid == request.request_id:
+                return True
+            if not is_write or dispatched:
+                return False
+        return False
+
+    def releasable(self, name: str) -> list[int]:
+        """Ids admitted on ``name`` before its first outstanding write."""
+        prefix = []
+        for is_write, rid, _ in self._entries.get(name, ()):
+            if is_write:
+                break
+            prefix.append(rid)
+        return prefix
+
+    def in_flight(self) -> frozenset[str]:
+        """Objects with a write applied to the store but not committed."""
+        return frozenset(
+            name
+            for name, entries in self._entries.items()
+            if any(entry[2] for entry in entries)
+        )
+
+
+#: :class:`PolicyReport` fields a run accumulates as same-named counters.
+_COUNTERS = (
+    "batches", "pcr_reactions", "amplified_blocks", "requested_block_accesses",
+    "sequenced_reads", "decoded_bytes", "written_bytes", "synthesis_orders",
+    "synthesized_strands", "synthesized_nucleotides", "synthesis_hours",
+    "retry_cycles", "retried_requests", "decode_failures", "lane_busy_hours",
+    "qos_throttled", "qos_deferred", "deadline_violations",
+)
+
+
+class _Run:
+    """State and event handlers of one :meth:`ServicePipeline.run`.
+
+    Simulated time advances by popping ``(hours, seq, handler, payload)``
+    entries off one heap (``seq`` breaks ties in push order) and calling
+    the handler: :meth:`on_arrival`, :meth:`on_dispatch`,
+    :meth:`on_synthesis` or :meth:`on_complete`.
+
+    Telemetry is observation only: every ``tel`` hook records what
+    happened and never touches the heap, RNG state or store, so a traced
+    run's outcomes are byte-identical to an untraced run's.
+    """
+
+    def __init__(self, pipeline, events, policy, fidelity, wetlab, keep_data):
+        config = pipeline.config
+        self.pipeline = pipeline
+        self.store: ObjectStore = pipeline.store
+        self.scheduler: BatchScheduler = pipeline.scheduler
+        self.config: ServiceConfig = config
+        self.events: list[RequestEvent] = events
+        self.policy = policy
+        self.fidelity = fidelity
+        self.unbatched = policy == "unbatched"
+        self.wetlab = wetlab
+        self.keep_data = keep_data
+        self.injector = config.decode_failure_injector
+        self.tel = (
+            RunTelemetry(policy=policy, fidelity=fidelity)
+            if tracing_enabled(config.tracing)
+            else None
+        )
+        self.stage_seconds: dict[str, float] = {}
+
+        self.completed: list[CompletedRequest] = []
+        self.failed: list[FailedRequest] = []
+        self.payloads: dict[int, bytes] = {}
+        self.object_order = _ObjectOrder()
+        self.held_reads: dict[int, ServiceRequest] = {}
+        # Block addressing is computed once per request at admission and
+        # shared with the scheduler (halves the extent-walk work).
+        self.blocks_by_id: dict[int, list[tuple[str, int]]] = {}
+        self.distinct_requested: dict[tuple[str, int], None] = {}
+        self.batch_ids = itertools.count()
+        for name in _COUNTERS:
+            setattr(self, name, 0)
+        self.synthesis_hours = self.lane_busy_hours = 0.0
+
+        requests: list[ServiceRequest] = []
+        for index, event in enumerate(events):
+            # Structurally malformed events are rejected before a request
+            # object exists; range-vs-object validation happens at arrival
+            # (it needs the catalog).  Either way the failure is the
+            # request's alone.
+            try:
+                requests.append(
+                    ServiceRequest(
+                        request_id=index,
+                        tenant=event.tenant,
+                        object_name=event.object_name,
+                        offset=event.offset,
+                        length=event.length,
+                        arrival_hours=event.time_hours,
+                        # Duck-typed events predating the write path may
+                        # lack op/payload/as_of; default to a plain read.
+                        op=getattr(event, "op", "read"),
+                        payload=getattr(event, "payload", None),
+                        as_of=getattr(event, "as_of", None),
+                        priority=getattr(event, "priority", None),
+                        deadline_hours=getattr(event, "deadline_hours", None),
+                    )
+                )
+            except DnaStorageError as exc:
+                self.reject(index, str(exc))
+
+        # Time-travel support: when the trace carries as_of reads, the
+        # committed-state timeline is sampled as copy-on-write snapshots —
+        # one at run start, one per committed synthesis order, each with
+        # the objects whose writes were then applied but uncommitted.
+        # Traces without as_of reads pay nothing, and sampling stops after
+        # the trace's largest as_of (resolution only ever looks backwards,
+        # so later snapshots would be unreachable — and every live
+        # snapshot forces subsequent updates to CoW-redirect, so taking
+        # them has a real cost).
+        as_ofs = [request.as_of for request in requests if request.as_of is not None]
+        self.max_as_of = max(as_ofs, default=float("-inf"))
+        self.timeline: list[tuple[float, object, frozenset[str]]] = (
+            [(float("-inf"), self.store.snapshot(), frozenset())] if as_ofs else []
+        )
+        #: request_id -> resolved StoreSnapshot for admitted as_of reads.
+        self.asof_views: dict[int, object] = {}
+
+        self.cache = (
+            DecodedBlockCache(config.cache_capacity_bytes, admission=config.cache_admission)
+            if policy == "batched+cache"
+            else None
+        )
+        # The run's cache rides the store for the duration of the event
+        # loop so applied writes (update patches, deletes) invalidate
+        # exactly the stale keys; every simulator read passes its cache
+        # view explicitly, so the attachment affects invalidation only.
+        # A caller-attached cache keeps receiving those invalidations
+        # through the fanout shim (it must not serve stale bytes after
+        # the run restores it).
+        self.previous_cache = self.store.block_cache
+        if self.cache is not None:
+            self.store.attach_cache(
+                self.cache
+                if self.previous_cache is None
+                else _InvalidationFanout(self.cache, self.previous_cache)
+            )
+            if self.tel is not None:
+                self.cache.bind_metrics(self.tel.metrics)
+        self.queue = RequestQueue()
+        self.sequence = itertools.count()
+        self.heap = [
+            (request.arrival_hours, next(self.sequence), self.on_arrival, request)
+            for request in requests
+        ]
+        heapq.heapify(self.heap)
+        # One persistent pool of physical lanes for the whole run: every
+        # cycle (retries included) books its units onto these frontiers.
+        self.lane_pool = SharedLanePool(config.wetlab_lanes)
+        # QoS gates the *batch* admission window; the unbatched policy
+        # dispatches at arrival and has no window to gate.
+        self.qos = (
+            QoSAdmission(config.qos)
+            if config.qos is not None and not self.unbatched
+            else None
+        )
+        self.dispatch_scheduled = False
+
+    # ------------------------------------------------------------------
+    # Event loop
+    # ------------------------------------------------------------------
+    def loop(self) -> None:
+        # A traced run activates its tracer (ambient — the decode engine
+        # and stage regions find it there) and opens a stage collector
+        # for the loop's extent; untraced runs skip both entirely.
+        with ExitStack() as scope:
+            if self.tel is not None:
+                scope.enter_context(activate(self.tel.tracer))
+                self.stage_seconds = scope.enter_context(collect_stages())
+            while self.heap:
+                now, _, handler, payload = heapq.heappop(self.heap)
+                handler(now, payload)
+        # The run's collector shadowed any caller-opened one for the
+        # loop's extent; fold the stage totals back out to it.
+        if self.tel is not None:
+            record_stages(self.stage_seconds)
+
+    def push(self, when: float, handler, payload) -> None:
+        heapq.heappush(self.heap, (when, next(self.sequence), handler, payload))
+
+    def ensure_dispatch(self, now: float) -> None:
+        if not self.dispatch_scheduled:
+            self.push(now + self.config.window_hours, self.on_dispatch, None)
+            self.dispatch_scheduled = True
+
+    def rearm(self, now: float) -> None:
+        """Give queued work a future: the unbatched policy applies eligible
+        writes at once (it queues nothing else), the batched policies
+        dispatch at the next window."""
+        if self.unbatched:
+            self.pump_writes(now)
+        elif len(self.queue):
+            self.ensure_dispatch(now)
+
+    def on_arrival(self, now: float, request: ServiceRequest) -> None:
+        """A request arrives: queue a write, admit a read."""
+        if self.tel is not None:
+            self.tel.admitted(request, now)
+        if request.is_write:
+            self.object_order.append(request)
+            self.queue.push(request)
+            if self.tel is not None:
+                self.tel.queued(request, now)
+            self.rearm(now)
+        else:
+            self.admit_read(request, now)
+
+    def on_dispatch(self, now: float, _payload) -> None:
+        """A scheduling window closes: batch the admitted reads into one
+        wetlab cycle, then apply the writes whose barrier is clear."""
+        self.dispatch_scheduled = False
+        # Reads drain before writes apply: a queued read arrived before
+        # every queued write on its object (later reads were held at
+        # admission), so scheduling it first puts it in flight and the
+        # write barrier keeps the store unmutated until its cycle
+        # delivers — same-window operations serve in arrival order.
+        queue_depth = len(self.queue)
+        if self.qos is None:
+            pending = self.queue.drain_op("read")
+        else:
+            # QoS admission: only rate-eligible requests within their
+            # tenant's fair share enter this window's batch; the rest stay
+            # queued (in arrival order) for the next window.
+            decision = self.qos.admit(
+                self.queue.peek_op("read"),
+                now,
+                lambda request: len(self.blocks_by_id[request.request_id]),
+            )
+            self.qos_throttled += len(decision.throttled)
+            self.qos_deferred += len(decision.deferred)
+            if self.tel is not None:
+                self.tel.qos_decision(decision, now)
+            admitted_ids = {request.request_id for request in decision.admitted}
+            pending = self.queue.take(lambda request: request.request_id in admitted_ids)
+        if pending:
+            batch = self.scheduler.schedule(
+                pending,
+                cache=self.cache,
+                batch_id=next(self.batch_ids),
+                blocks_by_request=self.blocks_by_id,
+            )
+            if self.tel is not None:
+                self.tel.batch_scheduled(batch, queue_depth, now)
+            self.dispatch_batch(batch, now)
+        self.pump_writes(now)
+        # Deferred reads need a future window: re-arm the dispatch timer
+        # so their buckets refill / shares free up (window_hours > 0 is
+        # enforced by ServiceConfig, and the admission's progress
+        # guarantee admits at least one eligible request per window, so
+        # this terminates).
+        if self.qos is not None and self.queue.peek_op("read"):
+            self.ensure_dispatch(now)
+
+    def on_synthesis(self, now: float, order: SynthesisOrder) -> None:
+        """A synthesis order delivered: acknowledge its writes."""
+        if self.tel is not None:
+            self.tel.synthesis_committed(order, now)
+        if self.wetlab is not None:
+            # The manufactured strands join their partitions' pools; only
+            # the touched pools re-synthesize.
+            for partition_name in order.partitions:
+                self.wetlab.reset_pool(partition_name)
+        released: dict[str, None] = {}
+        for outcome in order.applied:
+            request = outcome.request
+            self.object_order.retire(request.object_name, request.request_id)
+            released[request.object_name] = None
+            self.written_bytes += outcome.bytes_written
+            self.completed.append(
+                CompletedRequest(
+                    request=request,
+                    completion_hours=now,
+                    byte_count=outcome.bytes_written,
+                    checksum=zlib.crc32(request.payload or b""),
+                    served_from_cache=False,
+                    batch_id=order.order_id,
+                )
+            )
+            if self.tel is not None:
+                self.tel.served(request, now, from_cache=False, attempts=1)
+        if self.timeline and now <= self.max_as_of:
+            # Sample the committed-state timeline: later as_of reads at or
+            # past `now` observe this order's writes.  Commits after the
+            # largest as_of in the trace need no snapshot — nothing can
+            # resolve to them.
+            self.timeline.append(
+                (now, self.store.snapshot(), self.object_order.in_flight())
+            )
+        for name in released:
+            self.release_ready(name, now)
+        self.rearm(now)
+
+    def on_complete(self, now: float, cycle) -> None:
+        """A wetlab cycle delivered: serve its riders or retry them."""
+        batch, riders, view, attempt, reads_per_block = cycle
+        config = self.config
+        # Serving (and therefore cache fill) happens at cycle completion:
+        # blocks decoded by an in-flight cycle must not be cache-visible
+        # before the cycle's sequencing finishes.  The batch's
+        # schedule-time cache hits were pinned, so evictions during the
+        # cycle cannot turn charged work into free reads.
+        failures: dict[tuple[str, int], str] = {}
+        if batch.amplified_block_count > 0 and (
+            self.wetlab is not None or self.injector is not None
+        ):
+            failures = self.cycle_failures(batch, attempt, reads_per_block, view)
+            self.decode_failures += len(failures)
+            if self.tel is not None:
+                self.tel.decode_failures(len(failures))
+        retriers: list[ServiceRequest] = []
+        for request in riders:
+            if failures and any(
+                key in failures for key in self.blocks_by_id[request.request_id]
+            ):
+                retriers.append(request)
+                continue
+            self.serve(
+                request,
+                now,
+                from_cache=False,
+                batch_id=batch.batch_id,
+                block_cache=view,
+                attempts=attempt,
+            )
+        if retriers and attempt > config.retry_budget:
+            for request in retriers:
+                needed = sorted(
+                    key for key in self.blocks_by_id[request.request_id] if key in failures
+                )
+                self.reject(
+                    request.request_id,
+                    f"decode failed after {attempt} cycles (retry budget "
+                    f"{config.retry_budget}): blocks {needed} — "
+                    f"{failures[needed[0]]}",
+                    now=now,
+                    attempts=attempt,
+                )
+        elif retriers:
+            # Retry cycle: only the failed blocks the retrying requests
+            # still need, re-amplified with fresh PCR and sequenced at
+            # deeper coverage under a fresh seed.
+            needed_keys: dict[tuple[str, int], None] = {}
+            for request in retriers:
+                for key in self.blocks_by_id[request.request_id]:
+                    if key in failures:
+                        needed_keys.setdefault(key, None)
+            retry_batch = ScheduledBatch(
+                batch_id=next(self.batch_ids),
+                requests=tuple(retriers),
+                plan=plan_partition_ranges(
+                    self.store.volume,
+                    ranges_from_block_keys(list(needed_keys)),
+                    label=f"retry-{batch.batch_id:05d}-{attempt}",
+                ),
+                requested_blocks=(),
+            )
+            next_reads = config.retry_reads_per_block(attempt + 1)
+            self.charge(retry_batch, next_reads)
+            self.retry_cycles += 1
+            self.retried_requests += len(retriers)
+            if self.tel is not None:
+                self.tel.retried(len(retriers))
+            self.start_cycle(
+                retry_batch, tuple(retriers), view, now, attempt + 1, next_reads
+            )
+        # Served/failed riders may have been the last in-flight reads
+        # blocking a queued write.
+        self.rearm(now)
+
+    # ------------------------------------------------------------------
+    # Admission
+    # ------------------------------------------------------------------
+    def resolve_as_of(self, request: ServiceRequest):
+        """Latest snapshot at or before the read's ``as_of`` that holds
+        its object's committed bytes.
+
+        A snapshot also holds writes applied at dispatch but committed
+        only later; per-object writes are serialized, so skipping those
+        taken while the read's object had such a write leaves the latest
+        one whose bytes for the object were committed.
+        """
+        for taken, snapshot, in_flight in reversed(self.timeline):
+            if taken <= request.as_of and request.object_name not in in_flight:
+                return snapshot
+        return self.timeline[0][1]
+
+    def admit_read(
+        self, request: ServiceRequest, now: float, *, released: bool = False
+    ) -> None:
+        config = self.config
+        view_at = None
+        if request.as_of is not None:
+            # Time-travel read: resolve the committed-state snapshot once,
+            # at admission.  Historical state is immutable, so the read
+            # joins neither side of the per-object write barrier: it never
+            # waits for a pending write (the snapshot keeps the old
+            # blocks) and never delays one.
+            view_at = self.resolve_as_of(request)
+            self.asof_views[request.request_id] = view_at
+        else:
+            if not released:
+                self.object_order.append(request)
+            if self.object_order.write_ahead(request.object_name, request.request_id):
+                # Read-after-write ordering: the read waits for exactly
+                # the writes admitted before it to commit, then observes
+                # their bytes (never a later write's).
+                self.held_reads[request.request_id] = request
+                if self.tel is not None:
+                    self.tel.held(request, now)
+                return
+        try:
+            blocks = self.scheduler.request_blocks(request, at=view_at)
+        except DnaStorageError as exc:
+            # Unknown object or range past the object's end: this request
+            # fails alone; everyone else keeps being served.  (`now` is the
+            # decision time — later than arrival for reads validated only
+            # after a write barrier released them.)
+            self.reject(request.request_id, str(exc), now=now)
+            return
+        self.blocks_by_id[request.request_id] = blocks
+        self.requested_block_accesses += len(blocks)
+        front_end_done = now + config.cache_service_hours
+        if not blocks:
+            # Zero-length read: a valid empty response needing no wetlab
+            # work — answered at front-end speed.
+            if self.tel is not None:
+                self.tel.front_end(request, now, front_end_done, "front_end")
+            self.serve(request, front_end_done, from_cache=False, batch_id=None)
+            return
+        if self.unbatched:
+            batch = self.scheduler.schedule(
+                [request],
+                batch_id=next(self.batch_ids),
+                blocks_by_request=self.blocks_by_id,
+            )
+            self.dispatch_batch(batch, now)
+            return
+        cache = self.cache
+        if cache is not None and all(
+            cache.contains(partition, block, self.store.volume.block_epoch(partition, block))
+            for partition, block in blocks
+        ):
+            # Fast path: every block is hot; no wetlab, no window.
+            for key in blocks:
+                self.distinct_requested.setdefault(key, None)
+            if self.tel is not None:
+                self.tel.front_end(request, now, front_end_done, "cache_service")
+            self.serve(request, front_end_done, from_cache=True, batch_id=None)
+            return
+        self.queue.push(request)
+        if self.tel is not None:
+            self.tel.queued(request, now)
+        self.ensure_dispatch(now)
+
+    def release_ready(self, name: str, now: float) -> None:
+        """Re-admit held reads no longer behind an outstanding write."""
+        for request_id in self.object_order.releasable(name):
+            request = self.held_reads.pop(request_id, None)
+            if request is not None:
+                if self.tel is not None:
+                    self.tel.released(request, now)
+                self.admit_read(request, now, released=True)
+
+    # ------------------------------------------------------------------
+    # Wetlab cycles
+    # ------------------------------------------------------------------
+    def charge(self, batch: ScheduledBatch, reads_per_block: int) -> None:
+        # A dispatch fully covered by the cache is not a wetlab cycle.
+        if batch.amplified_block_count > 0:
+            self.batches += 1
+        self.pcr_reactions += batch.reaction_count
+        self.amplified_blocks += batch.amplified_block_count
+        self.sequenced_reads += batch.amplified_block_count * reads_per_block
+        for key in batch.requested_blocks:
+            self.distinct_requested.setdefault(key, None)
+        if self.tel is not None:
+            self.tel.charged(batch, reads_per_block)
+
+    def dispatch_batch(self, batch: ScheduledBatch, now: float) -> None:
+        """Serve a scheduled batch: cache-covered requests leave at
+        dispatch, the rest ride the wetlab cycle to completion."""
+        config = self.config
+        cache = self.cache
+        self.charge(batch, config.reads_per_block)
+        if cache is not None:
+            view = PinnedCacheView(cache, batch.pinned_payloads)
+        else:
+            # Cache-less policies still memoize decodes within the batch
+            # (wall-clock only; no reported number depends on it — work
+            # counters come from the plan).
+            view = _BatchScratch()
+        pinned_keys = frozenset(key for key, _ in batch.pinned_payloads)
+        riders: list[ServiceRequest] = []
+        for request in batch.requests:
+            if self.tel is not None:
+                self.tel.dispatched(request, now)
+            # A request whose every block was pinned from the cache needs
+            # no wetlab of its own: it is answered at dispatch, at memory
+            # speed, not at the cycle's completion.
+            if cache is not None and all(
+                key in pinned_keys for key in self.blocks_by_id[request.request_id]
+            ):
+                done = now + config.cache_service_hours
+                if self.tel is not None:
+                    self.tel.front_end(request, now, done, "cache_service")
+                self.serve(request, done, from_cache=True, batch_id=None, block_cache=view)
+            else:
+                # The rider's barrier entry stays until it is served, so
+                # no write to its object can apply under the cycle.
+                riders.append(request)
+        if riders:
+            self.start_cycle(batch, tuple(riders), view, now, 1, config.reads_per_block)
+
+    def start_cycle(self, batch, riders, view, now, attempt, reads_per_block) -> None:
+        """Put a cycle's units on the shared lane pool and book its
+        completion (the last of its units' absolute end times)."""
+        durations = self.pipeline._cycle_durations(batch, reads_per_block)
+        schedule = self.lane_pool.schedule(now, durations)
+        completion = max(end for _, _, end in schedule)
+        self.lane_busy_hours += sum(durations)
+        if self.tel is not None:
+            self.tel.cycle(
+                batch, riders, schedule, now, completion, attempt, reads_per_block
+            )
+        self.push(
+            completion, self.on_complete, (batch, riders, view, attempt, reads_per_block)
+        )
+
+    def cycle_failures(
+        self, batch: ScheduledBatch, attempt: int, reads_per_block: int, view
+    ) -> dict[tuple[str, int], str]:
+        """Run a cycle physically (wetlab) and collect decode failures.
+
+        Successfully decoded blocks are published into the batch's view
+        (write-through makes them cache-visible, now that the cycle is
+        complete); failed and injected-failure blocks are withheld so
+        affected riders can retry.
+        """
+        store = self.store
+        failures: dict[tuple[str, int], str] = {}
+        planned: dict[str, list[int]] = {}
+        for access in batch.plan.accesses:
+            planned.setdefault(access.partition, []).extend(
+                range(access.start_block, access.end_block + 1)
+            )
+        if self.injector is not None:
+            for partition_name, blocks in planned.items():
+                for block in blocks:
+                    key = (partition_name, block)
+                    if self.injector(batch.batch_id, attempt, key):
+                        failures[key] = "injected decode failure"
+        decoded: dict[tuple[str, int], bytes] = {}
+        if self.wetlab is not None:
+            # Physically run the cycle: every unit amplifies its
+            # partition's pool and samples its own reads (fresh PCR and
+            # deeper coverage on retries), then decode exactly the
+            # planned block set.
+            with maybe_wall_span("wetlab_readout", batch_id=batch.batch_id, attempt=attempt):
+                reads = self.wetlab.unit_reads_by_partition(
+                    batch.plan,
+                    batch_seed=batch.batch_id,
+                    reads_per_block=reads_per_block,
+                )
+            decoded, decode_failures = store.try_decode_blocks(
+                planned,
+                reads,
+                workers=self.config.decode_workers,
+                shared_memory=self.config.decode_shared_memory,
+                cluster_shards=self.config.decode_cluster_shards,
+            )
+            for key, reason in decode_failures.items():
+                failures.setdefault(key, reason)
+            for key, data in decoded.items():
+                # Block-level checksum gate: a misassembled readout (e.g.
+                # a misprimed neighbour strand winning a shallow cluster)
+                # can decode "successfully" with wrong bytes.  Catch it
+                # here so the retry budget covers it — deeper coverage on
+                # the next cycle — instead of a fidelity assertion
+                # aborting the run at serve time.
+                if key in failures:
+                    continue
+                reference = store.volume.partition(key[0]).read_block_reference(key[1])
+                if data != reference:
+                    failures[key] = (
+                        f"decoded bytes of block {key[1]} in partition "
+                        f"{key[0]!r} failed the reference checksum "
+                        "(misassembled readout)"
+                    )
+        with maybe_wall_span("cache_fill", blocks=len(decoded)):
+            for key, data in decoded.items():
+                if key not in failures:
+                    # Mirror the reference path's fill sequence (lookup
+                    # miss, then insert): the miss records the block's
+                    # demand with the cache — its stats and the TinyLFU
+                    # admission sketch — before the pin makes later
+                    # serve-path lookups bypass the cache entirely.
+                    epoch = store.volume.block_epoch(key[0], key[1])
+                    view.get(key[0], key[1], epoch)
+                    view.put(key[0], key[1], data, epoch)
+        return failures
+
+    # ------------------------------------------------------------------
+    # Writes
+    # ------------------------------------------------------------------
+    def pump_writes(self, now: float) -> None:
+        """Apply every queued write whose object barrier is clear.
+
+        Writes serialize per object and never overtake a read; same-window
+        writes coalesce into one synthesis order whose per-partition jobs
+        run in parallel at the vendor.
+        """
+        writes = self.queue.take(self.object_order.write_eligible)
+        if not writes:
+            return
+        if self.tel is not None:
+            for request in writes:
+                self.tel.dispatched(request, now)
+        order = self.scheduler.schedule_writes(writes, order_id=next(self.batch_ids))
+        rejected = False
+        for outcome in order.outcomes:
+            request = outcome.request
+            if outcome.applied:
+                self.object_order.dispatch(request.object_name, request.request_id)
+            else:
+                # The store rejected it (duplicate name, exhausted update
+                # slots, bad range): this write fails alone, at dispatch
+                # time.
+                rejected = True
+                self.reject(request.request_id, outcome.reason, now=now)
+                self.release_ready(request.object_name, now)
+        if order.applied:
+            self.synthesis_orders += 1
+            self.synthesized_strands += order.strand_count
+            self.synthesized_nucleotides += order.nucleotide_count
+            hours = self.pipeline._order_hours(order)
+            self.synthesis_hours += hours
+            if self.tel is not None:
+                self.tel.synthesis_dispatched(order, now)
+            self.push(now + hours, self.on_synthesis, order)
+        if rejected:
+            # A rejection's release_ready may have served held reads
+            # instantly (cache hit, zero-length, admission reject),
+            # unblocking writes queued behind them with no future event
+            # left to pump — re-arm so they are never stranded.
+            self.rearm(now)
+
+    # ------------------------------------------------------------------
+    # Terminal outcomes
+    # ------------------------------------------------------------------
+    def serve(
+        self,
+        request: ServiceRequest,
+        completion_hours: float,
+        *,
+        from_cache: bool,
+        batch_id: int | None,
+        block_cache=None,
+        attempts: int = 1,
+    ) -> None:
+        config = self.config
+        view_at = self.asof_views.get(request.request_id)
+        data = self.store.get(
+            request.object_name,
+            offset=request.offset,
+            length=request.length,
+            block_cache=block_cache if block_cache is not None else self.cache,
+            at=view_at,
+        )
+        if self.wetlab is not None:
+            # Wetlab fidelity: the served bytes came from physically
+            # decoded reads; hold them against the digital reference.
+            reference = self.store.get(
+                request.object_name,
+                offset=request.offset,
+                length=request.length,
+                block_cache=None,
+                at=view_at,
+            )
+            if zlib.crc32(data) != zlib.crc32(reference):
+                raise ServiceError(
+                    f"wetlab fidelity violation: request "
+                    f"{request.request_id} ({request.object_name!r} "
+                    f"[{request.offset}, +{len(reference)})) decoded "
+                    "bytes differ from the reference path"
+                )
+        self.decoded_bytes += len(data)
+        if self.keep_data:
+            self.payloads[request.request_id] = data
+        self.completed.append(
+            CompletedRequest(
+                request=request,
+                completion_hours=completion_hours,
+                byte_count=len(data),
+                checksum=zlib.crc32(data),
+                served_from_cache=from_cache,
+                batch_id=batch_id,
+                attempts=attempts,
+            )
+        )
+        self.object_order.retire(request.object_name, request.request_id)
+        if config.qos is not None and request.op == "read":
+            # Deadline accounting (reads only): the request's own budget
+            # wins over its tenant profile's; violations are counted,
+            # never dropped.
+            budget = request.deadline_hours
+            if budget is None:
+                budget = config.qos.profile(request.tenant).deadline_hours
+            if (
+                budget is not None
+                and completion_hours - request.arrival_hours > budget + 1e-9
+            ):
+                self.deadline_violations += 1
+                if self.tel is not None:
+                    self.tel.deadline_violation(request, completion_hours)
+        if self.tel is not None:
+            self.tel.served(
+                request, completion_hours, from_cache=from_cache, attempts=attempts
+            )
+
+    def reject(
+        self,
+        request_id: int,
+        reason: str,
+        *,
+        now: float | None = None,
+        attempts: int = 0,
+    ) -> None:
+        # request_id indexes the time-sorted events list.
+        event = self.events[request_id]
+        when = now if now is not None else event.time_hours
+        self.object_order.retire(event.object_name, request_id)
+        if self.tel is not None:
+            self.tel.failed(request_id, when, reason)
+        self.failed.append(
+            FailedRequest(
+                request_id=request_id,
+                tenant=event.tenant,
+                object_name=event.object_name,
+                offset=event.offset,
+                length=event.length,
+                arrival_hours=event.time_hours,
+                reason=reason,
+                op=getattr(event, "op", "read"),
+                failure_hours=when,
+                attempts=attempts,
+            )
+        )
+
+    # ------------------------------------------------------------------
+    # Report and cleanup
+    # ------------------------------------------------------------------
+    def report(self) -> PolicyReport:
+        completed = self.completed
+        checksum = 0
+        for item in sorted(completed, key=lambda c: c.request.request_id):
+            checksum = zlib.crc32(item.checksum.to_bytes(4, "big"), checksum)
+        # The report lists deliveries in completion order (ties broken by
+        # admission id); serves were recorded in event order, which may
+        # run ahead for requests whose completion lies in the future.
+        completed.sort(key=lambda c: (c.completion_hours, c.request.request_id))
+        self.failed.sort(key=lambda f: f.request_id)
+        read_latencies = [
+            item.latency_hours for item in completed if item.request.op == "read"
+        ]
+        write_latencies = [
+            item.latency_hours for item in completed if item.request.op != "read"
+        ]
+        empty = SummaryStats(
+            count=0, mean=0.0, p50=0.0, p95=0.0, p99=0.0, minimum=0.0, maximum=0.0
+        )
+        # makespan is 0 when every request was rejected.
+        makespan = max((item.completion_hours for item in completed), default=0.0)
+        lanes = self.lane_pool
+        observability = (
+            self.tel.finalize(
+                makespan_hours=makespan,
+                wetlab_lanes=self.config.wetlab_lanes,
+                lane_busy_hours_by_lane=list(lanes.busy_hours_by_lane),
+                lane_schedule_horizon_hours=lanes.horizon_hours,
+                stage_seconds=self.stage_seconds,
+            )
+            if self.tel is not None
+            else None
+        )
+        return PolicyReport(
+            policy=self.policy,
+            fidelity=self.fidelity,
+            completed=tuple(completed),
+            failed=tuple(self.failed),
+            latency=summarize(read_latencies) if read_latencies else empty,
+            write_latency=summarize(write_latencies) if write_latencies else None,
+            makespan_hours=makespan,
+            throughput_per_hour=len(completed) / makespan if makespan else 0.0,
+            distinct_requested_blocks=len(self.distinct_requested),
+            wetlab_lanes=self.config.wetlab_lanes,
+            lane_busy_hours_by_lane=lanes.busy_hours_by_lane,
+            lane_schedule_horizon_hours=lanes.horizon_hours,
+            qos_enabled=self.qos is not None,
+            checksum=checksum,
+            cache=self.cache.stats if self.cache is not None else None,
+            payloads=self.payloads if self.keep_data else None,
+            observability=observability,
+            **{name: getattr(self, name) for name in _COUNTERS},
+        )
+
+    def close(self) -> None:
+        """Detach the run's cache, exceptions included, so the store's
+        prior attachment survives the run, and release the run's
+        time-travel snapshots so blocks they pinned (pre-update versions,
+        deleted objects) become reclaimable again."""
+        self.store.block_cache = self.previous_cache
+        for _, snapshot, _ in self.timeline:
+            if not snapshot.released:
+                snapshot.release()

@@ -10,8 +10,8 @@ counters.  Wall-clock spans (decode workers, pipeline stages, readout
 sampling) are recorded by the layers below through the ambient tracer the
 pipeline activates for the event loop's extent.
 
-Every hook is a plain method the simulator's closures call behind an
-``if tel is not None`` guard, so an untraced run never constructs this
+Every hook is a plain method the pipeline's event handlers call behind
+an ``if tel is not None`` guard, so an untraced run never constructs this
 object and pays nothing.  The hooks only *record* — they never touch the
 event heap, RNG state or store — which is what keeps traced outcomes
 byte-identical to untraced ones.

@@ -54,6 +54,8 @@ NUMPY_FREE: tuple[str, ...] = (
     "test_reprolint.py",
     "test_sequence.py",
     "test_service_cache.py",
+    "test_service_golden.py",
+    "test_service_model.py",
     "test_service_pipeline.py",
     "test_service_qos.py",
     "test_service_scheduler.py",

@@ -433,7 +433,7 @@ class TestEngineInternals:
         assert rates.get("consensus", 0.0) > 0.0
         assert rates.get("syndrome_solve", 0.0) > 0.0
 
-    def test_stage_timings_fold_into_parent_collector(self, workload):
+    def test_stage_seconds_fold_into_parent_collector(self, workload):
         store, blocks, reads = workload
         with collect_stages() as stages:
             store.try_decode_blocks(blocks, reads, workers=2)
@@ -475,7 +475,7 @@ class TestRetryCycles:
         return injector
 
     def _run(self, fidelity: str, workers: int):
-        from repro.service import ServiceConfig, ServiceSimulator
+        from repro.service import ServiceConfig, ServicePipeline
         from repro.workloads import multi_tenant_trace
 
         volume = DnaVolume(
@@ -493,7 +493,7 @@ class TestRetryCycles:
         trace = multi_tenant_trace(
             catalog, tenants=3, requests=8, duration_hours=6.0, seed=11
         )
-        simulator = ServiceSimulator(
+        simulator = ServicePipeline(
             store,
             config=ServiceConfig(
                 window_hours=0.5,

@@ -25,8 +25,7 @@ from repro.service import (
     ServiceConfig,
     ServicePipeline,
     ServiceRequest,
-    ServiceSimulator,
-    schedule_lanes,
+    SharedLanePool,
 )
 from repro.store import DnaVolume, ObjectStore, VolumeConfig
 from repro.workloads import RequestEvent, multi_tenant_trace
@@ -95,7 +94,7 @@ class TestOperationAgnosticRequests:
         queue.push(write)
         assert queue.drain_op("read") == [read]
         assert len(queue) == 1
-        assert queue.drain() == [write]
+        assert queue.drain_op("put") == [write]
 
     def test_scheduler_refuses_writes_in_read_batches(self):
         store, _ = build_store(objects=1)
@@ -613,8 +612,8 @@ class TestRetryCycles:
 class TestLanePool:
     def test_greedy_packing_is_deterministic(self):
         durations = [3.0, 1.0, 2.0, 1.0, 4.0]
-        first = schedule_lanes(durations, 2)
-        second = schedule_lanes(durations, 2)
+        first = SharedLanePool(2).schedule(0.0, durations)
+        second = SharedLanePool(2).schedule(0.0, durations)
         assert first == second
         # Earliest-free lane, ties to the lowest index.
         assert first[0] == (0, 0.0, 3.0)
@@ -624,15 +623,15 @@ class TestLanePool:
         assert first[4] == (1, 3.0, 7.0)
 
     def test_single_lane_serializes(self):
-        schedule = schedule_lanes([2.0, 3.0, 1.0], 1)
+        schedule = SharedLanePool(1).schedule(0.0, [2.0, 3.0, 1.0])
         assert [lane for lane, _, _ in schedule] == [0, 0, 0]
         assert schedule[-1][2] == 6.0
 
     def test_invalid_inputs_rejected(self):
         with pytest.raises(ServiceError):
-            schedule_lanes([1.0], 0)
+            SharedLanePool(0)
         with pytest.raises(ServiceError):
-            schedule_lanes([-1.0], 2)
+            SharedLanePool(2).schedule(0.0, [-1.0])
 
     def test_more_lanes_never_slow_a_cycle(self):
         store, catalog = build_store(objects=6)
@@ -745,9 +744,6 @@ class TestMixedTraceDeterminism:
         for name, data in seed_bytes.items():
             assert store.get(name) == data
         assert store.volume.live_snapshots() == []
-
-    def test_simulator_alias_is_pipeline(self):
-        assert ServiceSimulator is ServicePipeline
 
     def test_duck_typed_events_without_op_fields_still_serve(self):
         """Event objects carrying only the original read-trace fields

@@ -28,7 +28,6 @@ from repro.service import (
     SharedLanePool,
     TenantQoS,
     TokenBucket,
-    schedule_lanes,
     weighted_fair_shares,
 )
 from repro.workloads import (
@@ -80,17 +79,19 @@ class TestSharedLanePool:
             pool.schedule(0.0, [-1.0])
 
     def test_empty_pool_reproduces_standalone_packing(self):
-        # A single cycle on an idle pool must match the per-cycle greedy
-        # primitive exactly (relative offsets = absolute minus now).
-        durations = [3.0, 1.0, 4.0, 1.5, 5.0, 2.0]
-        relative = schedule_lanes(durations, 3)
+        # A single cycle on an idle pool is the plain greedy packing —
+        # earliest-free lane, ties to the lowest index — offset by `now`.
         pool = SharedLanePool(3)
-        absolute = pool.schedule(10.0, durations)
-        assert [
-            (lane, start - 10.0, end - 10.0) for lane, start, end in absolute
-        ] == relative
-        makespan = max(end for _, _, end in relative)
-        assert pool.horizon_hours == pytest.approx(10.0 + makespan)
+        absolute = pool.schedule(10.0, [3.0, 1.0, 4.0, 1.5, 5.0, 2.0])
+        assert absolute == [
+            (0, 10.0, 13.0),
+            (1, 10.0, 11.0),
+            (2, 10.0, 14.0),
+            (1, 11.0, 12.5),
+            (1, 12.5, 17.5),
+            (0, 13.0, 15.0),
+        ]
+        assert pool.horizon_hours == pytest.approx(17.5)
 
     def test_overlapping_cycles_queue_on_busy_lanes(self):
         pool = SharedLanePool(1)

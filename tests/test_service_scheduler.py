@@ -3,7 +3,7 @@
 import pytest
 
 from repro.exceptions import ServiceError
-from repro.service import BatchScheduler, DecodedBlockCache, ReadRequest, RequestQueue
+from repro.service import BatchScheduler, DecodedBlockCache, RequestQueue, ServiceRequest
 from repro.store import DnaVolume, ObjectStore, VolumeConfig
 from repro.workloads.objects import synthetic_object
 
@@ -19,7 +19,7 @@ def small_store(**overrides) -> ObjectStore:
 
 
 def request(rid, name, *, tenant="t0", offset=0, length=None, arrival=0.0):
-    return ReadRequest(
+    return ServiceRequest(
         request_id=rid,
         tenant=tenant,
         object_name=name,
@@ -37,7 +37,7 @@ class TestRequestQueue:
         queue.push(first)
         queue.push(second)
         assert len(queue) == 2
-        assert queue.drain() == [first, second]
+        assert queue.drain_op("read") == [first, second]
         assert len(queue) == 0
 
 

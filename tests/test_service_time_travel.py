@@ -145,6 +145,31 @@ class TestAsOfRequests:
         assert [f.request_id for f in report.failed] == [2]
         assert report.payloads[1] == original
 
+    def test_as_of_ignores_writes_dispatched_but_not_yet_committed(self):
+        """The snapshot captured when ``a``'s update commits (12.52 h)
+        already holds ``b``'s update, applied at its dispatch but only
+        committed at 13.52 h; an as_of read between the two commits must
+        still see ``b``'s old bytes."""
+        store = ObjectStore(
+            DnaVolume(
+                config=VolumeConfig(
+                    partition_leaf_count=32, stripe_blocks=2, stripe_width=2
+                )
+            )
+        )
+        block_size = store.volume.block_size
+        store.put("a", b"A" * block_size)
+        store.put("b", b"B" * block_size)
+        trace = [
+            RequestEvent(0.0, "w", "a", op="update", payload=b"a2"),
+            RequestEvent(1.0, "w", "b", op="update", payload=b"b2"),
+            RequestEvent(20.0, "r", "b", length=2, as_of=13.0),
+        ]
+        report = pipeline(store, window_hours=0.5).run(trace, "batched", keep_data=True)
+        commits = {c.request.request_id: c.completion_hours for c in report.completed}
+        assert commits[0] < 13.0 < commits[1]
+        assert report.payloads[2] == b"BB"
+
     def test_time_travel_trace_is_deterministic(self):
         store, catalog = build_store()
         trace = multi_tenant_trace(
