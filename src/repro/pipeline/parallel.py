@@ -18,13 +18,9 @@ processes:
   ``REPRO_DECODE_WORKERS`` environment variable, then the CPU count.
   ``workers=1`` decodes inline with no pool and no pickling — today's
   serial path.
-* **Payload transport.**  Tasks ship as ordinary pickles; read batches at
-  or above :data:`SHARED_MEMORY_MIN_BYTES` take an optional
-  ``multiprocessing.shared_memory`` fast path.  A :class:`_SegmentArena`
-  packs every big blob of a decode batch into **one** segment (length-
-  prefixed ASCII, ``(name, offset, length)`` descriptors) instead of one
-  segment per task, and guarantees the unlink on every exit path,
-  including a broken pool.  ``REPRO_DECODE_SHM=0`` disables it.
+* **Payload transport.**  Every task and stage task travels to its
+  worker as an ordinary pickle over the executor pipe, and its result
+  comes back the same way.
 * **Intra-partition staging.**  With ``REPRO_CLUSTER_SHARDS`` > 1 a
   multi-worker engine decomposes each readout into *stage tasks* —
   cluster shards (:func:`repro.pipeline.clustering.cluster_shard`),
@@ -33,9 +29,11 @@ processes:
   batched syndrome solve — scheduled by a :class:`StageProfile` (EWMA
   seconds-per-unit fed back from workers), so a hot partition's cluster
   shards interleave with other partitions' consensus work instead of
-  head-of-line blocking one worker.  ``REPRO_DECODE_STAGED=0`` restores
-  one-task-per-partition scheduling; results are byte-identical in every
-  mode because the stage pieces are exactly the serial path's phases.
+  head-of-line blocking one worker.  A task whose distance backend is an
+  instance rather than a name cannot ship its backend to a stage task,
+  so such a batch decodes one pool task per partition instead.  Results
+  are byte-identical either way because the stage pieces are exactly
+  the serial path's phases.
 * **Robustness.**  A broken pool (a worker killed mid-cycle) falls back to
   decoding the remaining tasks inline rather than failing the cycle.
 
@@ -57,13 +55,13 @@ import atexit
 import os
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from multiprocessing import get_all_start_methods, get_context
 from typing import TYPE_CHECKING, Sequence
 
 from repro import envflags
 from repro.exceptions import DecodingError
-from repro.fastpath import staged_decode_enabled
 from repro.observability.stages import collect_stages, record_stages, stage
 from repro.observability.tracing import (
     Tracer,
@@ -97,12 +95,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     )
 
 _WORKERS_ENV = "REPRO_DECODE_WORKERS"
-_SHM_ENV = "REPRO_DECODE_SHM"
-
-#: Read batches below this many payload bytes always travel as pickles;
-#: the shared-memory fast path only pays off once the blob dwarfs the
-#: segment setup cost.
-SHARED_MEMORY_MIN_BYTES = 1 << 20
 
 #: A syndrome solve predicted to run at least this long goes to a worker;
 #: cheaper solves run inline in the parent, where the submission +
@@ -163,13 +155,6 @@ def resolve_worker_count(workers: int | None = None) -> int:
     return workers
 
 
-def shared_memory_enabled(shared_memory: bool | None = None) -> bool:
-    """Whether large read batches ride shared memory (argument, then env)."""
-    if shared_memory is not None:
-        return shared_memory
-    return envflags.enabled(_SHM_ENV)
-
-
 @dataclass(frozen=True)
 class DecodeTask:
     """One partition readout to decode.
@@ -211,216 +196,62 @@ class DecodeOutcome:
     seconds: float
 
 
-# ----------------------------------------------------------------------
-# Shared-memory transport
-# ----------------------------------------------------------------------
-def _encode_reads(reads: Sequence[str]) -> bytes | None:
-    """One length-prefixed ASCII blob for a read batch.
+def _observed(execute, trace: bool | None, span: str, **attributes) -> tuple:
+    """Run ``execute()`` collecting its stage seconds and worker spans.
 
-    Layout: a comma-separated length header, one newline, then the
-    concatenated read bodies (sliced back out by length, so reads may
-    contain any ASCII byte).  ``None`` when the reads cannot encode.
+    ``trace`` selects the span-propagation mode: ``None`` leaves the
+    ambient tracer alone (the inline path — spans land directly in the
+    caller's tracer), ``True`` runs under a fresh local tracer, inside one
+    ``span`` on the worker's track, whose spans are returned for the
+    parent to adopt (a worker of a traced run), and ``False`` explicitly
+    sheds any tracer inherited across a ``fork`` (a worker of an untraced
+    run).  Returns ``(result, stages, seconds, spans)``.
     """
-    try:
-        header = ",".join(str(len(read)) for read in reads)
-        body = "".join(reads)
-        return (header + "\n" + body).encode("ascii")
-    except UnicodeEncodeError:
-        return None
-
-
-def _decode_reads(blob: bytes) -> list[str]:
-    """Invert :func:`_encode_reads`."""
-    text = blob.decode("ascii")
-    header, _, body = text.partition("\n")
-    if not header:
-        return []
-    reads: list[str] = []
-    position = 0
-    for length in (int(part) for part in header.split(",")):
-        reads.append(body[position : position + length])
-        position += length
-    return reads
-
-
-def _encode_read_groups(groups: Sequence[Sequence[str]]) -> bytes | None:
-    """One length-prefixed ASCII blob for clustered read groups.
-
-    Same layout as :func:`_encode_reads` with a two-level header:
-    per-group comma-separated read lengths, groups joined by ``;``.
-    """
-    try:
-        header = ";".join(
-            ",".join(str(len(read)) for read in group) for group in groups
-        )
-        body = "".join(read for group in groups for read in group)
-        return (header + "\n" + body).encode("ascii")
-    except UnicodeEncodeError:
-        return None
-
-
-def _decode_read_groups(blob: bytes) -> list[list[str]]:
-    """Invert :func:`_encode_read_groups`."""
-    text = blob.decode("ascii")
-    header, _, body = text.partition("\n")
-    if not header:
-        return []
-    groups: list[list[str]] = []
-    position = 0
-    for part in header.split(";"):
-        group: list[str] = []
-        if part:
-            for length in (int(piece) for piece in part.split(",")):
-                group.append(body[position : position + length])
-                position += length
-        groups.append(group)
-    return groups
-
-
-class _SegmentArena:
-    """Shared-memory segments owned by one decode batch.
-
-    :meth:`publish` packs many blobs into **one** segment per call and
-    hands back ``(name, offset, length)`` descriptors, so a batch of
-    tasks (or a wave of stage tasks) shares a single segment instead of
-    paying one create/unlink per task.  :meth:`release` unlinks every
-    segment the arena created — the parent owns segment lifetime
-    unconditionally (workers only attach), so calling it in a ``finally``
-    guarantees no leak even when the pool breaks mid-batch.
-    """
-
-    def __init__(self) -> None:
-        self._segments: list = []
-
-    def publish(
-        self, blobs: Sequence[bytes]
-    ) -> list[tuple[str, int, int]] | None:
-        """Pack ``blobs`` into one fresh segment; ``None`` if unavailable."""
-        total = sum(len(blob) for blob in blobs)
-        if not blobs or total == 0:
-            return None
-        from multiprocessing import shared_memory
-
-        try:
-            segment = shared_memory.SharedMemory(create=True, size=total)
-        except OSError:
-            return None
-        descriptors: list[tuple[str, int, int]] = []
-        offset = 0
-        for blob in blobs:
-            segment.buf[offset : offset + len(blob)] = blob
-            descriptors.append((segment.name, offset, len(blob)))
-            offset += len(blob)
-        self._segments.append(segment)
-        segment.close()
-        return descriptors
-
-    def release(self) -> None:
-        """Unlink every segment this arena created (idempotent)."""
-        for segment in self._segments:
-            try:
-                segment.unlink()
-            except FileNotFoundError:  # pragma: no cover - already gone
-                pass
-        self._segments.clear()
-
-
-def _load_blob(descriptor: tuple[str, int, int]) -> bytes:
-    """Copy one published blob out of its shared segment (worker side)."""
-    from multiprocessing import resource_tracker, shared_memory
-
-    name, offset, length = descriptor
-    segment = shared_memory.SharedMemory(name=name)
-    try:
-        blob = bytes(segment.buf[offset : offset + length])
-    finally:
-        segment.close()
-        # Attaching registered the segment with this process's resource
-        # tracker, which would unlink it a second time (and warn) at
-        # worker exit; the parent owns the segment's lifetime.
-        try:
-            resource_tracker.unregister(segment._name, "shared_memory")
-        except Exception:  # pragma: no cover - tracker API is CPython detail
-            pass
-    return blob
-
-
-def _load_reads(descriptor: tuple[str, int, int]) -> list[str]:
-    """Read a batch back out of a shared-memory segment (worker side)."""
-    return _decode_reads(_load_blob(descriptor))
-
-
-def _load_read_groups(descriptor: tuple[str, int, int]) -> list[list[str]]:
-    """Read clustered groups back out of a shared segment (worker side)."""
-    return _decode_read_groups(_load_blob(descriptor))
-
-
-def _unlink_segment(name: str) -> None:
-    from multiprocessing import shared_memory
-
-    try:
-        segment = shared_memory.SharedMemory(name=name)
-    except FileNotFoundError:  # pragma: no cover - already gone
-        return
-    segment.close()
-    segment.unlink()
+    tracer = Tracer() if trace else None
+    scope = activate(tracer) if trace is not None else nullcontext()
+    begin = wall_now()
+    with scope, collect_stages() as stages:
+        if tracer is None:
+            result = execute()
+        else:
+            with tracer.wall_span(span, track=worker_track(), **attributes):
+                result = execute()
+    spans = tracer.spans if tracer is not None else []
+    return result, dict(stages), wall_now() - begin, spans
 
 
 def _run_task(
     partition: "Partition",
     blocks: list[int] | None,
     decoder_options: dict,
-    reads: list[str] | None,
-    shm_descriptor: tuple | None,
+    reads: list[str],
     trace: bool | None = None,
     label: str = "",
 ) -> tuple["dict[int, DecodeReport]", dict[str, float], float, list]:
     """Decode one task (worker entry point; also the inline path's core).
 
-    ``trace`` selects the span-propagation mode: ``None`` leaves the
-    ambient tracer alone (the inline path — spans land directly in the
-    caller's tracer), ``True`` runs under a fresh local tracer whose
-    spans are returned for the parent to adopt (a worker of a traced
-    run), and ``False`` explicitly sheds any tracer inherited across a
-    ``fork`` (a worker of an untraced run).
+    Returns ``(reports, stages, seconds, spans)``; ``trace`` is the
+    span-propagation mode of :func:`_observed`.
     """
     from repro.pipeline.decoder import BlockDecoder
-
-    if reads is None:
-        assert shm_descriptor is not None
-        reads = _load_reads(shm_descriptor)
 
     def decode() -> "dict[int, DecodeReport]":
         decoder = BlockDecoder(partition, **decoder_options)
         return decoder.decode_readout(reads, blocks)
 
-    begin = wall_now()
-    if trace is None:
-        with collect_stages() as stages:
-            reports = decode()
-        return reports, dict(stages), wall_now() - begin, []
-    tracer = Tracer() if trace else None
-    with activate(tracer):
-        with collect_stages() as stages:
-            if tracer is not None:
-                with tracer.wall_span(
-                    f"decode:{label or 'task'}",
-                    track=worker_track(),
-                    blocks=len(blocks) if blocks is not None else None,
-                    reads=len(reads),
-                ):
-                    reports = decode()
-            else:
-                reports = decode()
-    spans = tracer.spans if tracer is not None else []
-    return reports, dict(stages), wall_now() - begin, spans
+    return _observed(
+        decode,
+        trace,
+        f"decode:{label or 'task'}",
+        blocks=len(blocks) if blocks is not None else None,
+        reads=len(reads),
+    )
 
 
 def _run_stage_task(
     kind: str,
     payload: tuple,
     options: dict,
-    shm_descriptor: tuple | None = None,
     trace: bool | None = None,
     label: str = "",
 ) -> tuple:
@@ -429,10 +260,9 @@ def _run_stage_task(
     ``kind`` selects the stage: ``"cluster"`` agglomerates one clustering
     shard (payload ``(reads, buckets)``), ``"consensus"`` reconstructs a
     batch of cluster strands (payload ``(groups, length)``), ``"solve"``
-    batch-decodes encoding units (payload ``(partition, units)``).  A
-    ``None`` first payload element means the blob rides shared memory and
-    ``shm_descriptor`` locates it.  Returns ``(result, stages, seconds,
-    spans)`` with the same ``trace`` semantics as :func:`_run_task`.
+    batch-decodes encoding units (payload ``(partition, units)``).
+    Returns ``(result, stages, seconds, spans)``; ``trace`` is the
+    span-propagation mode of :func:`_observed`.
     """
     stage_name = _STAGE_OF_KIND.get(kind)
     if stage_name is None:
@@ -443,45 +273,16 @@ def _run_stage_task(
             if kind == "cluster":
                 from repro.pipeline.clustering import cluster_shard
 
-                reads, buckets = payload
-                if reads is None:
-                    assert shm_descriptor is not None
-                    reads = _load_reads(shm_descriptor)
-                return cluster_shard(reads, buckets, **options)
+                return cluster_shard(*payload, **options)
             if kind == "consensus":
                 from repro.pipeline.consensus import consensus_batch
 
-                groups, length = payload
-                if groups is None:
-                    assert shm_descriptor is not None
-                    groups = _load_read_groups(shm_descriptor)
-                return consensus_batch(
-                    groups, length, backend=options.get("backend")
-                )
+                return consensus_batch(*payload, backend=options.get("backend"))
             from repro.pipeline.decoder import try_decode_units_batch
 
-            partition, units = payload
-            return try_decode_units_batch(partition, units)
+            return try_decode_units_batch(*payload)
 
-    begin = wall_now()
-    if trace is None:
-        with collect_stages() as stages:
-            result = execute()
-        return result, dict(stages), wall_now() - begin, []
-    tracer = Tracer() if trace else None
-    with activate(tracer):
-        with collect_stages() as stages:
-            if tracer is not None:
-                with tracer.wall_span(
-                    f"{kind}:{label or 'stage'}",
-                    track=worker_track(),
-                    kind=kind,
-                ):
-                    result = execute()
-            else:
-                result = execute()
-    spans = tracer.spans if tracer is not None else []
-    return result, dict(stages), wall_now() - begin, spans
+    return _observed(execute, trace, f"{kind}:{label or 'stage'}", kind=kind)
 
 
 class StageProfile:
@@ -535,7 +336,6 @@ class _StageSubmission:
     payload: tuple
     options: dict
     label: str
-    blob: bytes | None = None
 
 
 @dataclass
@@ -568,23 +368,19 @@ class DecodeEngine:
     Args:
         workers: worker processes (``None`` = ``REPRO_DECODE_WORKERS``,
             then CPU count; ``1`` decodes inline).
-        shared_memory: whether big read batches ride shared memory
-            (``None`` = ``REPRO_DECODE_SHM``, default on).
         cluster_shards: intra-partition clustering shard count (``None``
             = ``REPRO_CLUSTER_SHARDS``, then 1).  With shards > 1 a
             multi-worker engine decomposes readouts into profile-staged
-            stage tasks (see :func:`repro.fastpath.staged_decode_enabled`);
-            results are byte-identical at any shard count.
+            stage tasks (see :meth:`_staged_eligible`); results are
+            byte-identical at any shard count.
     """
 
     def __init__(
         self,
         workers: int | None = None,
-        shared_memory: bool | None = None,
         cluster_shards: int | None = None,
     ) -> None:
         self.workers = resolve_worker_count(workers)
-        self.shared_memory = shared_memory_enabled(shared_memory)
         self.cluster_shards = resolve_cluster_shards(cluster_shards)
         self.profile = StageProfile()
         self._executor: ProcessPoolExecutor | None = None
@@ -618,8 +414,8 @@ class DecodeEngine:
     def decode(self, tasks: Sequence[DecodeTask]) -> list[DecodeOutcome]:
         """Decode every task, returning outcomes in task order.
 
-        Results are byte-identical for any worker count, shard count and
-        staging mode; stage timings are folded into the caller's active
+        Results are byte-identical for any worker count and shard count,
+        staged or not; stage timings are folded into the caller's active
         collector either way.
         """
         if not tasks:
@@ -646,12 +442,12 @@ class DecodeEngine:
         """Whether this decode batch can run as staged stage tasks.
 
         Staging requires shards (otherwise the monolithic task *is* the
-        unit of parallelism), the staged flag, and pickleable decoder
-        options — a distance-backend *instance* cannot cross the worker
-        boundary, so such tasks keep the monolithic path where the
-        backend object never leaves the worker-side decoder.
+        unit of parallelism) and distance backends given by name — a
+        backend *instance* cannot ride a stage task, so such tasks keep
+        the monolithic path where the backend object never leaves the
+        worker-side decoder.
         """
-        if self.cluster_shards <= 1 or not staged_decode_enabled():
+        if self.cluster_shards <= 1:
             return False
         for task in tasks:
             backend = task.decoder_options.get("distance_backend")
@@ -666,87 +462,68 @@ class DecodeEngine:
             reads=len(task.reads),
         ):
             reports, stages, seconds, _ = _run_task(
-                task.partition, task.blocks, self._task_options(task),
-                task.reads, None,
+                task.partition, task.blocks, self._task_options(task), task.reads
             )
         record_stages(stages)
         return DecodeOutcome(reports=reports, stages=stages, seconds=seconds)
 
-    def _decode_pooled(self, tasks: Sequence[DecodeTask]) -> list[DecodeOutcome]:
-        outcomes: list[DecodeOutcome | None] = [None] * len(tasks)
-        futures: list[tuple[int, Future]] = []
-        broken = False
+    def _run_ordered(self, entry, calls: Sequence[tuple[tuple, str]]) -> list:
+        """Run ``entry(*args, trace, label)`` per call on the pool, in order.
+
+        Every call is submitted in order and collected in that same order,
+        so results line up with ``calls`` deterministically.  Each
+        result's stage seconds are recorded into the caller's collector
+        and its spans adopted into the caller's tracer.  Returns one
+        ``(result, stages, seconds)`` per call, or ``None`` for a call a
+        broken pool never finished — the caller runs those inline, and
+        the next decode starts a fresh pool.
+        """
         parent_tracer = current_tracer()
         # Workers on a ``fork`` context inherit the ambient tracer; send an
         # explicit flag so untraced runs shed it and traced runs record
         # into a fresh local tracer whose spans ride home with the result.
         trace_flag = parent_tracer is not None
-        arena = _SegmentArena()
-        try:
-            # Pack every big batch into ONE shared segment up front: a
-            # single create/unlink per decode() call instead of one per
-            # task.
-            descriptors: dict[int, tuple[str, int, int]] = {}
-            if self.shared_memory:
-                blobs: dict[int, bytes] = {}
-                for index, task in enumerate(tasks):
-                    payload = sum(len(read) for read in task.reads)
-                    if payload >= SHARED_MEMORY_MIN_BYTES:
-                        blob = _encode_reads(task.reads)
-                        if blob is not None:
-                            blobs[index] = blob
-                if blobs:
-                    order = sorted(blobs)
-                    published = arena.publish([blobs[i] for i in order])
-                    if published is not None:
-                        descriptors = dict(zip(order, published))
-            pool = self._pool()
-            for index, task in enumerate(tasks):
-                descriptor = descriptors.get(index)
-                try:
-                    futures.append(
-                        (
-                            index,
-                            pool.submit(
-                                _run_task,
-                                task.partition,
-                                task.blocks,
-                                self._task_options(task),
-                                None if descriptor is not None else task.reads,
-                                descriptor,
-                                trace_flag,
-                                task.label,
-                            ),
-                        )
-                    )
-                except (BrokenProcessPool, RuntimeError):
-                    broken = True
-                    break
-            # Submission order *is* task order, so collecting in this
-            # order keeps outcomes aligned with tasks deterministically.
-            for index, future in futures:
-                try:
-                    reports, stages, seconds, spans = future.result()
-                except BrokenProcessPool:
-                    broken = True
-                    break
-                record_stages(stages)
-                if parent_tracer is not None and spans:
-                    parent_tracer.adopt(spans)
-                outcomes[index] = DecodeOutcome(
-                    reports=reports, stages=stages, seconds=seconds
+        results: list = [None] * len(calls)
+        futures: list[Future] = []
+        broken = False
+        pool = self._pool()
+        for args, label in calls:
+            try:
+                futures.append(pool.submit(entry, *args, trace_flag, label))
+            except (BrokenProcessPool, RuntimeError):
+                broken = True
+                break
+        for index, future in enumerate(futures):
+            try:
+                result, stages, seconds, spans = future.result()
+            except BrokenProcessPool:
+                broken = True
+                break
+            record_stages(stages)
+            if parent_tracer is not None and spans:
+                parent_tracer.adopt(spans)
+            results[index] = (result, stages, seconds)
+        if broken:
+            # A dead pool must not fail the cycle.
+            self.shutdown()
+        return results
+
+    def _decode_pooled(self, tasks: Sequence[DecodeTask]) -> list[DecodeOutcome]:
+        results = self._run_ordered(
+            _run_task,
+            [
+                (
+                    (task.partition, task.blocks, self._task_options(task), task.reads),
+                    task.label,
                 )
-            if broken:
-                # A dead pool must not fail the cycle: decode whatever is
-                # missing inline and start a fresh pool next time.
-                self.shutdown()
-        finally:
-            arena.release()
+                for task in tasks
+            ],
+        )
         return [
-            outcome
-            if outcome is not None
-            else self._decode_inline(tasks[index])
-            for index, outcome in enumerate(outcomes)
+            DecodeOutcome(*result)
+            if result is not None
+            else self._decode_inline(task)
+            for task, result in zip(tasks, results)
         ]
 
     # ------------------------------------------------------------------
@@ -785,107 +562,72 @@ class DecodeEngine:
         outcomes: list[DecodeOutcome | None] = [None] * len(tasks)
         parent_tracer = current_tracer()
         trace_flag = parent_tracer is not None
-        arena = _SegmentArena()
         broken = False
-        sequence = 0
-        # future -> (task_index, kind, position, units, submit_seq)
-        waiting: dict[Future, tuple[int, str, int, int, int]] = {}
+        # future -> (task_index, kind, position, units), in submission order
+        waiting: dict[Future, tuple[int, str, int, int]] = {}
         states: list[_StagedTask] = []
+        pool = self._pool()
 
-        try:
-            pool = self._pool()
-
-            def flush(wave: list[_StageSubmission]) -> None:
-                nonlocal broken, sequence
-                if not wave or broken:
-                    return
-                descriptors: dict[int, tuple[str, int, int]] = {}
-                if self.shared_memory:
-                    with_blob = [
-                        i for i, sub in enumerate(wave) if sub.blob is not None
-                    ]
-                    if with_blob:
-                        published = arena.publish(
-                            [wave[i].blob for i in with_blob]
-                        )
-                        if published is not None:
-                            descriptors = dict(zip(with_blob, published))
-                order = sorted(
-                    range(len(wave)),
-                    key=lambda i: (
-                        -self._submission_cost(wave[i]),
-                        wave[i].task_index,
-                        wave[i].position,
-                    ),
-                )
-                for i in order:
-                    if broken:
-                        return
-                    sub = wave[i]
-                    descriptor = descriptors.get(i)
-                    payload = (
-                        sub.payload
-                        if descriptor is None
-                        else (None,) + sub.payload[1:]
-                    )
-                    try:
-                        future = pool.submit(
-                            _run_stage_task,
-                            sub.kind,
-                            payload,
-                            sub.options,
-                            descriptor,
-                            trace_flag,
-                            sub.label,
-                        )
-                    except (BrokenProcessPool, RuntimeError):
-                        broken = True
-                        return
-                    waiting[future] = (
-                        sub.task_index, sub.kind, sub.position, sub.units,
-                        sequence,
-                    )
-                    sequence += 1
-
-            wave: list[_StageSubmission] = []
-            for index, task in enumerate(tasks):
-                state = _StagedTask(
-                    index=index,
-                    task=task,
-                    decoder=BlockDecoder(task.partition, **task.decoder_options),
-                    begin=wall_now(),
-                )
-                states.append(state)
-                state.plan = state.decoder.readout_plan(task.reads, task.blocks)
-                wave.extend(self._staged_route(state, shards, outcomes))
-            flush(wave)
-
-            while waiting and not broken:
-                done, _ = wait(list(waiting), return_when=FIRST_COMPLETED)
-                wave = []
-                for future in sorted(done, key=lambda f: waiting[f][4]):
-                    task_index, kind, position, units, _seq = waiting.pop(future)
-                    try:
-                        result, stages, seconds, spans = future.result()
-                    except BrokenProcessPool:
-                        broken = True
-                        break
-                    state = states[task_index]
-                    state.fold(stages)
-                    record_stages(stages)
-                    if parent_tracer is not None and spans:
-                        parent_tracer.adopt(spans)
-                    self.profile.observe(_STAGE_OF_KIND[kind], units, seconds)
-                    wave.extend(
-                        self._staged_advance(
-                            state, kind, position, result, outcomes
-                        )
-                    )
-                flush(wave)
+        def flush(wave: list[_StageSubmission]) -> None:
+            nonlocal broken
             if broken:
-                self.shutdown()
-        finally:
-            arena.release()
+                return
+            order = sorted(
+                wave,
+                key=lambda sub: (
+                    -self._submission_cost(sub), sub.task_index, sub.position
+                ),
+            )
+            for sub in order:
+                try:
+                    future = pool.submit(
+                        _run_stage_task,
+                        sub.kind,
+                        sub.payload,
+                        sub.options,
+                        trace_flag,
+                        sub.label,
+                    )
+                except (BrokenProcessPool, RuntimeError):
+                    broken = True
+                    return
+                waiting[future] = (sub.task_index, sub.kind, sub.position, sub.units)
+
+        wave: list[_StageSubmission] = []
+        for index, task in enumerate(tasks):
+            state = _StagedTask(
+                index=index,
+                task=task,
+                decoder=BlockDecoder(task.partition, **task.decoder_options),
+                begin=wall_now(),
+            )
+            states.append(state)
+            state.plan = state.decoder.readout_plan(task.reads, task.blocks)
+            wave.extend(self._staged_route(state, shards, outcomes))
+        flush(wave)
+
+        while waiting and not broken:
+            done, _ = wait(list(waiting), return_when=FIRST_COMPLETED)
+            wave = []
+            for future in [future for future in waiting if future in done]:
+                task_index, kind, position, units = waiting.pop(future)
+                try:
+                    result, stages, seconds, spans = future.result()
+                except BrokenProcessPool:
+                    broken = True
+                    break
+                state = states[task_index]
+                state.fold(stages)
+                record_stages(stages)
+                if parent_tracer is not None and spans:
+                    parent_tracer.adopt(spans)
+                self.profile.observe(_STAGE_OF_KIND[kind], units, seconds)
+                wave.extend(
+                    self._staged_advance(state, kind, position, result, outcomes)
+                )
+            flush(wave)
+        if broken:
+            self.shutdown()
         # Tasks interrupted by a broken pool decode inline from scratch —
         # partial stage results are discarded so the fallback is exactly
         # the serial path.
@@ -929,29 +671,19 @@ class DecodeEngine:
             "min_kmer_similarity": DEFAULT_MIN_KMER_SIMILARITY,
             "distance_backend": decoder.distance_backend,
         }
-        submissions: list[_StageSubmission] = []
         label = state.task.label or "task"
-        for position, payload in enumerate(state.payloads):
-            blob = None
-            if (
-                self.shared_memory
-                and sum(len(read) for read in payload.reads)
-                >= SHARED_MEMORY_MIN_BYTES
-            ):
-                blob = _encode_reads(payload.reads)
-            submissions.append(
-                _StageSubmission(
-                    task_index=state.index,
-                    kind="cluster",
-                    position=position,
-                    units=len(payload.reads),
-                    payload=(payload.reads, payload.buckets),
-                    options=options,
-                    label=f"{label}#{payload.shard}/{shards}",
-                    blob=blob,
-                )
+        return [
+            _StageSubmission(
+                task_index=state.index,
+                kind="cluster",
+                position=position,
+                units=len(payload.reads),
+                payload=(payload.reads, payload.buckets),
+                options=options,
+                label=f"{label}#{payload.shard}/{shards}",
             )
-        return submissions
+            for position, payload in enumerate(state.payloads)
+        ]
 
     def _staged_advance(
         self,
@@ -998,28 +730,18 @@ class DecodeEngine:
         state.batches_remaining = len(batches)
         length = state.decoder._layout.strand_length
         label = state.task.label or "task"
-        submissions: list[_StageSubmission] = []
-        for position, chunk in enumerate(batches):
-            blob = None
-            if (
-                self.shared_memory
-                and sum(len(read) for group in chunk for read in group)
-                >= SHARED_MEMORY_MIN_BYTES
-            ):
-                blob = _encode_read_groups(chunk)
-            submissions.append(
-                _StageSubmission(
-                    task_index=state.index,
-                    kind="consensus",
-                    position=position,
-                    units=sum(len(group) for group in chunk),
-                    payload=(chunk, length),
-                    options={"backend": None},
-                    label=f"{label}[{position + 1}/{len(batches)}]",
-                    blob=blob,
-                )
+        return [
+            _StageSubmission(
+                task_index=state.index,
+                kind="consensus",
+                position=position,
+                units=sum(len(group) for group in chunk),
+                payload=(chunk, length),
+                options={"backend": None},
+                label=f"{label}[{position + 1}/{len(batches)}]",
             )
-        return submissions
+            for position, chunk in enumerate(batches)
+        ]
 
     def _staged_after_consensus(
         self,
@@ -1117,8 +839,6 @@ class DecodeEngine:
         shard_count = (
             self.cluster_shards if shards is None else resolve_cluster_shards(shards)
         )
-        parent_tracer = current_tracer()
-        trace_flag = parent_tracer is not None
         with maybe_wall_span(
             "cluster_sharded", shards=shard_count, reads=len(reads)
         ):
@@ -1137,128 +857,75 @@ class DecodeEngine:
                 "min_kmer_similarity": min_kmer_similarity,
                 "distance_backend": distance_backend,
             }
-            outputs: list = [None] * len(payloads)
-            stats: list[dict | None] = [None] * len(payloads)
-            arena = _SegmentArena()
-            broken = False
-            try:
-                futures: list[tuple[int, Future]] = []
-                if self.workers > 1 and len(payloads) > 1:
-                    descriptors: dict[int, tuple[str, int, int]] = {}
-                    if self.shared_memory:
-                        blobs: dict[int, bytes] = {}
-                        for position, payload in enumerate(payloads):
-                            size = sum(len(read) for read in payload.reads)
-                            if size >= SHARED_MEMORY_MIN_BYTES:
-                                blob = _encode_reads(payload.reads)
-                                if blob is not None:
-                                    blobs[position] = blob
-                        if blobs:
-                            order = sorted(blobs)
-                            published = arena.publish(
-                                [blobs[i] for i in order]
-                            )
-                            if published is not None:
-                                descriptors = dict(zip(order, published))
-                    pool = self._pool()
-                    for position, payload in enumerate(payloads):
-                        descriptor = descriptors.get(position)
-                        try:
-                            futures.append(
-                                (
-                                    position,
-                                    pool.submit(
-                                        _run_stage_task,
-                                        "cluster",
-                                        (
-                                            None
-                                            if descriptor is not None
-                                            else payload.reads,
-                                            payload.buckets,
-                                        ),
-                                        options,
-                                        descriptor,
-                                        trace_flag,
-                                        f"shard#{payload.shard}/{shard_count}",
-                                    ),
-                                )
-                            )
-                        except (BrokenProcessPool, RuntimeError):
-                            broken = True
-                            break
-                    for position, future in futures:
-                        try:
-                            result, stages, seconds, spans = future.result()
-                        except BrokenProcessPool:
-                            broken = True
-                            break
-                        record_stages(stages)
-                        if parent_tracer is not None and spans:
-                            parent_tracer.adopt(spans)
-                        self.profile.observe(
-                            "cluster", len(payloads[position].reads), seconds
-                        )
-                        outputs[position] = result
-                        stats[position] = {
-                            "shard": payloads[position].shard,
-                            "buckets": len(payloads[position].buckets),
-                            "reads": len(payloads[position].reads),
-                            "seconds": seconds,
-                        }
-                    if broken:
-                        self.shutdown()
+            calls = [
+                (
+                    ("cluster", (payload.reads, payload.buckets), options),
+                    f"shard#{payload.shard}/{shard_count}",
+                )
+                for payload in payloads
+            ]
+            results = (
+                self._run_ordered(_run_stage_task, calls)
+                if self.workers > 1 and len(payloads) > 1
+                else [None] * len(payloads)
+            )
+            outputs: list = []
+            stats: list[dict] = []
+            for payload, (args, _), pooled in zip(payloads, calls, results):
                 # Inline whatever never ran (workers == 1, a single
                 # payload, or a pool that broke mid-batch).
-                for position, payload in enumerate(payloads):
-                    if outputs[position] is not None:
-                        continue
-                    result, stages, seconds, _ = _run_stage_task(
-                        "cluster", (payload.reads, payload.buckets), options
-                    )
+                if pooled is None:
+                    result, stages, seconds, _ = _run_stage_task(*args)
                     record_stages(stages)
-                    self.profile.observe("cluster", len(payload.reads), seconds)
-                    outputs[position] = result
-                    stats[position] = {
+                else:
+                    result, _, seconds = pooled
+                self.profile.observe("cluster", len(payload.reads), seconds)
+                outputs.append(result)
+                stats.append(
+                    {
                         "shard": payload.shard,
                         "buckets": len(payload.buckets),
                         "reads": len(payload.reads),
                         "seconds": seconds,
                     }
-            finally:
-                arena.release()
-            clusters = merge_shard_clusters(routed, outputs)
-            return clusters, [stat for stat in stats if stat is not None]
+                )
+            return merge_shard_clusters(routed, outputs), stats
 
 
 # ----------------------------------------------------------------------
 # Shared engines
 # ----------------------------------------------------------------------
-_shared_engines: dict[tuple[int, bool, int], DecodeEngine] = {}
+_shared_engines: dict[tuple[int, int], DecodeEngine] = {}
 
 
 def shared_engine(
     workers: int | None = None,
-    shared_memory: bool | None = None,
+    _retired: None = None,
     cluster_shards: int | None = None,
 ) -> DecodeEngine:
     """A process-wide engine per resolved configuration.
 
     Worker pools are expensive to start, so every decode entry point
     (:meth:`ObjectStore.try_decode_blocks`, the serving pipeline) shares
-    one engine per ``(workers, shared_memory, cluster_shards)``
-    resolution; the pools are torn down at interpreter exit.  Sharing
-    also keeps the engine's :class:`StageProfile` warm across cycles.
+    one engine per ``(workers, cluster_shards)`` resolution; the pools
+    are torn down at interpreter exit.  Sharing also keeps the engine's
+    :class:`StageProfile` warm across cycles.
+
+    The second positional slot is retired: it selected a payload
+    transport that no longer exists and must be ``None``.  It stays only
+    so three-argument callers written against the old signature (the
+    repository benchmark's ``perfbench/run.py``) resolve the same engine;
+    pass ``cluster_shards`` by keyword.
     """
-    key = (
-        resolve_worker_count(workers),
-        shared_memory_enabled(shared_memory),
-        resolve_cluster_shards(cluster_shards),
-    )
+    if _retired is not None:
+        raise TypeError(
+            "shared_engine's second positional argument is retired; "
+            "pass cluster_shards= by keyword"
+        )
+    key = (resolve_worker_count(workers), resolve_cluster_shards(cluster_shards))
     engine = _shared_engines.get(key)
     if engine is None:
-        engine = DecodeEngine(
-            workers=key[0], shared_memory=key[1], cluster_shards=key[2]
-        )
+        engine = DecodeEngine(workers=key[0], cluster_shards=key[1])
         _shared_engines[key] = engine
     return engine
 
@@ -1273,9 +940,7 @@ __all__ = [
     "DecodeEngine",
     "DecodeOutcome",
     "DecodeTask",
-    "SHARED_MEMORY_MIN_BYTES",
     "StageProfile",
     "resolve_worker_count",
     "shared_engine",
-    "shared_memory_enabled",
 ]

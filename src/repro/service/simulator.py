@@ -229,9 +229,6 @@ class ServiceConfig:
             ``REPRO_DECODE_WORKERS``, then the CPU count; ``1`` = serial).
             Compute-side only: lane scheduling (wetlab time) is untouched,
             and decoded bytes are identical for any worker count.
-        decode_shared_memory: ship large per-partition read batches to
-            decode workers via ``multiprocessing.shared_memory`` (``None``
-            defers to ``REPRO_DECODE_SHM``, default on).
         decode_cluster_shards: intra-partition clustering shard count of
             the decode engine (``None`` defers to ``REPRO_CLUSTER_SHARDS``,
             then 1 = unsharded).  Compute-side only, like
@@ -272,7 +269,6 @@ class ServiceConfig:
         default=None, compare=False
     )
     decode_workers: int | None = None
-    decode_shared_memory: bool | None = None
     decode_cluster_shards: int | None = None
     tracing: bool | None = None
     qos: QoSConfig | None = None
@@ -1387,7 +1383,6 @@ class _Run:
                 planned,
                 reads,
                 workers=self.config.decode_workers,
-                shared_memory=self.config.decode_shared_memory,
                 cluster_shards=self.config.decode_cluster_shards,
             )
             for key, reason in decode_failures.items():

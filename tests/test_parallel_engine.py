@@ -2,33 +2,27 @@
 
 The engine's contract is strict determinism: decoded payloads, per-block
 reports and failure strings must be byte-identical for every worker count
-(1 = inline serial, N = process pool), with or without the shared-memory
-read transport, and with the fused kernels on or off.  Everything here
-runs without numpy except the tests that explicitly request the numpy
-distance backend or wetlab-fidelity sequencing.
+(1 = inline serial, N = process pool) and shard count, staged or not, and
+with the fused kernels on or off.  Everything here runs without numpy
+except the tests that explicitly request the numpy distance backend or
+wetlab-fidelity sequencing.
 """
 
 import os
 import pickle
-from multiprocessing import shared_memory
 
 import pytest
 
 from repro.exceptions import DecodingError, ServiceError
+from repro.pipeline import consensus
+from repro.pipeline.decoder import BlockDecoder
+from repro.pipeline.distance import PythonDistanceBackend
 from repro.pipeline.parallel import (
-    SHARED_MEMORY_MIN_BYTES,
     DecodeEngine,
     DecodeTask,
     StageProfile,
-    _decode_read_groups,
-    _decode_reads,
-    _encode_read_groups,
-    _encode_reads,
-    _load_read_groups,
-    _load_reads,
-    _SegmentArena,
     resolve_worker_count,
-    shared_memory_enabled,
+    shared_engine,
 )
 from repro.observability.stages import collect_stages, record_stages
 from repro.store import DnaVolume, ObjectStore, VolumeConfig
@@ -84,6 +78,24 @@ def workload():
     return store, blocks, reads
 
 
+def _tasks(workload, **decoder_options) -> list[DecodeTask]:
+    """One decode task per written partition of the workload."""
+    store, blocks, reads = workload
+    return [
+        DecodeTask(
+            partition=store.volume.partition(name),
+            reads=reads[name],
+            blocks=targets,
+            decoder_options=decoder_options,
+        )
+        for name, targets in blocks.items()
+    ]
+
+
+def _reports(outcomes) -> list:
+    return [outcome.reports for outcome in outcomes]
+
+
 # ----------------------------------------------------------------------
 # Resolution
 # ----------------------------------------------------------------------
@@ -109,12 +121,13 @@ class TestResolution:
         with pytest.raises(DecodingError):
             resolve_worker_count(0)
 
-    def test_shared_memory_toggle(self, monkeypatch):
-        monkeypatch.delenv("REPRO_DECODE_SHM", raising=False)
-        assert shared_memory_enabled() is True
-        monkeypatch.setenv("REPRO_DECODE_SHM", "0")
-        assert shared_memory_enabled() is False
-        assert shared_memory_enabled(True) is True
+    def test_shared_engine_keys_on_workers_and_shards(self):
+        engine = shared_engine(workers=2, cluster_shards=3)
+        assert (engine.workers, engine.cluster_shards) == (2, 3)
+        # Three-argument callers of the old signature pass None second.
+        assert shared_engine(2, None, 3) is engine
+        with pytest.raises(TypeError):
+            shared_engine(2, True, 3)
 
     def test_service_config_validates_decode_workers(self):
         from repro.service import ServiceConfig
@@ -155,16 +168,8 @@ class TestByteIdentity:
     def test_codec_backends_decode_identically(self, workload, monkeypatch, codec_backend):
         if codec_backend == "numpy" and not _numpy_available():
             pytest.skip("numpy codec backend unavailable")
-        store, blocks, reads = workload
         monkeypatch.setenv("REPRO_CODEC_BACKEND", codec_backend)
-        tasks = [
-            DecodeTask(
-                partition=store.volume.partition(name),
-                reads=reads[name],
-                blocks=targets,
-            )
-            for name, targets in blocks.items()
-        ]
+        tasks = _tasks(workload)
         # Fresh engines so the pooled workers fork *after* the env change
         # and resolve the same backend as the inline run.
         serial = DecodeEngine(workers=1)
@@ -191,26 +196,31 @@ class TestByteIdentity:
         assert outputs["0"] == outputs["1"]
         assert not outputs["1"][1]
 
-    def test_shared_memory_transport_is_invisible(self, workload):
-        store, blocks, reads = workload
-        with_shm = store.try_decode_blocks(
-            blocks, reads, workers=2, shared_memory=True
-        )
-        without_shm = store.try_decode_blocks(
-            blocks, reads, workers=2, shared_memory=False
-        )
-        assert with_shm == without_shm
-
-    @pytest.mark.parametrize("staged", ["1", "0"])
+    @pytest.mark.parametrize("staged", [True, False], ids=["1", "0"])
     def test_sharded_staged_decode_is_byte_identical(
         self, workload, monkeypatch, staged
     ):
+        """Sharded decoding on the pool matches serial, staged or not.
+
+        A distance backend given by name lets the engine stage readouts.
+        A backend instance cannot ride a stage task, so that leg decodes
+        one pool task per partition with the clustering sharded inside
+        the worker.  The path not under test is made to fail.
+        """
         store, blocks, reads = workload
-        baseline = store.try_decode_blocks(blocks, reads, workers=1)
+        backend = None if staged else PythonDistanceBackend()
+        baseline = store.try_decode_blocks(
+            blocks, reads, workers=1, distance_backend=backend
+        )
         assert not baseline[1]
-        monkeypatch.setenv("REPRO_DECODE_STAGED", staged)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the other decode path ran")
+
+        other = "_decode_pooled" if staged else "_decode_staged"
+        monkeypatch.setattr(DecodeEngine, other, refuse)
         sharded = store.try_decode_blocks(
-            blocks, reads, workers=2, cluster_shards=4
+            blocks, reads, workers=2, cluster_shards=4, distance_backend=backend
         )
         assert sharded == baseline
 
@@ -233,137 +243,22 @@ class TestByteIdentity:
 # Transport and robustness
 # ----------------------------------------------------------------------
 class TestEngineInternals:
-    def test_read_blob_roundtrip(self):
-        reads = ["ACGT" * 64 for _ in range(16)] + ["", "A"]
-        blob = _encode_reads(reads)
-        assert blob is not None
-        assert _decode_reads(blob) == reads
-        assert _decode_reads(_encode_reads([])) == []
-        assert _encode_reads(["ACGT", "π"]) is None  # non-ASCII: pickle path
-
-    def test_read_group_blob_roundtrip(self):
-        groups = [["ACGT", ""], [], ["TTT", "AA"]]
-        blob = _encode_read_groups(groups)
-        assert blob is not None
-        assert _decode_read_groups(blob) == groups
-        assert _decode_read_groups(_encode_read_groups([])) == []
-
-    def test_arena_packs_many_blobs_into_one_segment(self):
-        reads = ["ACGT" * 64 for _ in range(16)] + ["", "A"]
-        groups = [["ACGT", ""], [], ["TTT"]]
-        arena = _SegmentArena()
-        descriptors = arena.publish(
-            [_encode_reads(reads), _encode_read_groups(groups)]
-        )
-        assert descriptors is not None
-        try:
-            assert len({name for name, _, _ in descriptors}) == 1
-            assert _load_reads(descriptors[0]) == reads
-            assert _load_read_groups(descriptors[1]) == groups
-        finally:
-            arena.release()
-        with pytest.raises(FileNotFoundError):
-            shared_memory.SharedMemory(name=descriptors[0][0])
-
-    def _spy_on_publishes(self, monkeypatch):
-        """Record every arena publish (blob count + descriptors)."""
-        import repro.pipeline.parallel as parallel
-
-        publishes = []
-        original = parallel._SegmentArena.publish
-
-        def spying(arena, blobs):
-            result = original(arena, blobs)
-            publishes.append((len(blobs), result))
-            return result
-
-        monkeypatch.setattr(parallel, "SHARED_MEMORY_MIN_BYTES", 1)
-        monkeypatch.setattr(parallel._SegmentArena, "publish", spying)
-        return publishes
-
-    def test_pooled_batch_shares_one_segment(self, workload, monkeypatch):
-        store, blocks, reads = workload
-        publishes = self._spy_on_publishes(monkeypatch)
-        tasks = [
-            DecodeTask(
-                partition=store.volume.partition(name),
-                reads=reads[name],
-                blocks=targets,
-            )
-            for name, targets in blocks.items()
-        ]
-        engine = DecodeEngine(workers=2, shared_memory=True, cluster_shards=1)
-        try:
-            outcomes = engine.decode(tasks)
-        finally:
-            engine.shutdown()
-        assert len(outcomes) == len(tasks)
-        # One publish for the whole batch, one segment for every task blob.
-        assert len(publishes) == 1
-        blob_count, descriptors = publishes[0]
-        assert blob_count == len(tasks)
-        assert descriptors is not None
-        names = sorted({name for name, _, _ in descriptors})
-        assert len(names) == 1
-        with pytest.raises(FileNotFoundError):
-            shared_memory.SharedMemory(name=names[0])
-
-    def test_segments_unlinked_when_pool_breaks(self, workload, monkeypatch):
-        store, blocks, reads = workload
-        publishes = self._spy_on_publishes(monkeypatch)
-        tasks = [
-            DecodeTask(
-                partition=store.volume.partition(name),
-                reads=reads[name],
-                blocks=targets,
-            )
-            for name, targets in blocks.items()
-        ]
-        engine = DecodeEngine(workers=2, shared_memory=True, cluster_shards=1)
-        try:
-            baseline = DecodeEngine(workers=1).decode(tasks)
-            # Kill the pool before the batch: segments are published
-            # first, every submission then fails, and the engine must
-            # both decode inline and unlink what it published.
-            engine._pool().shutdown(wait=True)
-            recovered = engine.decode(tasks)
-        finally:
-            engine.shutdown()
-        assert [outcome.reports for outcome in recovered] == [
-            outcome.reports for outcome in baseline
-        ]
-        assert publishes, "the batch should have published segments"
-        for _, descriptors in publishes:
-            assert descriptors is not None
-            for name in sorted({name for name, _, _ in descriptors}):
-                with pytest.raises(FileNotFoundError):
-                    shared_memory.SharedMemory(name=name)
-
     def test_large_batches_cross_the_shm_threshold(self, workload):
+        # Batches padded past 1 MiB per task travel over the executor
+        # pipe like any other.
         store, blocks, reads = workload
+        one_mib = 1 << 20
         padded = {
-            name: batch
-            * (SHARED_MEMORY_MIN_BYTES // max(1, sum(map(len, batch))) + 1)
+            name: batch * (one_mib // max(1, sum(map(len, batch))) + 1)
             for name, batch in reads.items()
         }
-        assert all(
-            sum(map(len, batch)) >= SHARED_MEMORY_MIN_BYTES
-            for batch in padded.values()
-        )
+        assert all(sum(map(len, batch)) >= one_mib for batch in padded.values())
         pooled = store.try_decode_blocks(blocks, padded, workers=2)
         serial = store.try_decode_blocks(blocks, padded, workers=1)
         assert pooled == serial
 
     def test_broken_pool_falls_back_inline(self, workload):
-        store, blocks, reads = workload
-        tasks = [
-            DecodeTask(
-                partition=store.volume.partition(name),
-                reads=reads[name],
-                blocks=targets,
-            )
-            for name, targets in blocks.items()
-        ]
+        tasks = _tasks(workload)
         engine = DecodeEngine(workers=2)
         try:
             expected = engine.decode(tasks)
@@ -377,17 +272,8 @@ class TestEngineInternals:
             outcome.reports for outcome in expected
         ]
 
-    def test_staged_broken_pool_falls_back_inline(self, workload, monkeypatch):
-        store, blocks, reads = workload
-        monkeypatch.setenv("REPRO_DECODE_STAGED", "1")
-        tasks = [
-            DecodeTask(
-                partition=store.volume.partition(name),
-                reads=reads[name],
-                blocks=targets,
-            )
-            for name, targets in blocks.items()
-        ]
+    def test_staged_broken_pool_falls_back_inline(self, workload):
+        tasks = _tasks(workload)
         engine = DecodeEngine(workers=2, cluster_shards=4)
         try:
             expected = engine.decode(tasks)
@@ -412,17 +298,8 @@ class TestEngineInternals:
         profile.observe("solve", 10, -1.0)  # clock skew: ignored
         assert profile.snapshot()["solve"] == pytest.approx(0.18)
 
-    def test_staged_decode_warms_the_stage_profile(self, workload, monkeypatch):
-        store, blocks, reads = workload
-        monkeypatch.setenv("REPRO_DECODE_STAGED", "1")
-        tasks = [
-            DecodeTask(
-                partition=store.volume.partition(name),
-                reads=reads[name],
-                blocks=targets,
-            )
-            for name, targets in blocks.items()
-        ]
+    def test_staged_decode_warms_the_stage_profile(self, workload):
+        tasks = _tasks(workload)
         engine = DecodeEngine(workers=2, cluster_shards=4)
         try:
             engine.decode(tasks)
@@ -458,6 +335,73 @@ class TestEngineInternals:
         clone = pickle.loads(pickle.dumps(task))
         assert clone.reads == task.reads
         assert clone.blocks == task.blocks
+
+
+# ----------------------------------------------------------------------
+# Faults inside decode stages
+# ----------------------------------------------------------------------
+class InjectedFault(Exception):
+    """Raised by a decode stage patched to fail."""
+
+
+def _fail_in_workers(original):
+    """``original``, except that it raises in any process but this one."""
+    parent = os.getpid()
+
+    def patched(*args, **kwargs):
+        if os.getpid() != parent:
+            raise InjectedFault("injected decode-stage fault")
+        return original(*args, **kwargs)
+
+    return patched
+
+
+class TestStageFaults:
+    """A failing stage surfaces as its own exception, never as wrong bytes.
+
+    Each case uses a fresh engine, shut down in ``finally``: workers fork
+    on first use and keep whatever patch was active then.
+    """
+
+    @pytest.mark.parametrize(
+        "shards, owner, name",
+        [
+            (1, BlockDecoder, "decode_readout"),
+            (2, consensus, "consensus_batch"),
+        ],
+        ids=["pooled", "staged"],
+    )
+    def test_injected_worker_fault_raises(self, workload, monkeypatch, shards, owner, name):
+        tasks = _tasks(workload)
+        baseline = DecodeEngine(workers=1).decode(tasks)
+        engine = DecodeEngine(workers=2, cluster_shards=shards)
+        try:
+            with monkeypatch.context() as patch:
+                # Patched before the engine forks.  Only workers fail, so
+                # an engine that swallowed the fault and decoded inline
+                # would return instead of raising.
+                patch.setattr(owner, name, _fail_in_workers(getattr(owner, name)))
+                with pytest.raises(InjectedFault):
+                    engine.decode(tasks)
+            # The patched workers are retired; the same engine forks
+            # clean ones and decodes byte-identically.
+            engine.shutdown()
+            assert _reports(engine.decode(tasks)) == _reports(baseline)
+        finally:
+            engine.shutdown()
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_bad_decoder_option_raises_type_error(self, workload, workers, shards):
+        tasks = _tasks(workload)
+        baseline = DecodeEngine(workers=1).decode(tasks)
+        engine = DecodeEngine(workers=workers, cluster_shards=shards)
+        try:
+            with pytest.raises(TypeError):
+                engine.decode(_tasks(workload, no_such_option=1))
+            assert _reports(engine.decode(tasks)) == _reports(baseline)
+        finally:
+            engine.shutdown()
 
 
 # ----------------------------------------------------------------------

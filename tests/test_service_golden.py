@@ -17,7 +17,8 @@ attempts, same batch ids, same failure reasons.  The cases cover all
 three policies, QoS off and on (with throttling and deferral both
 firing), one and three wetlab lanes, and injected decode failures with
 retries; one numpy-gated case serves through the physical wetlab path at
-one and two decode workers.
+one and two decode workers, and at two workers with clustering sharded
+two ways (the staged decode scheduler).
 
 To inspect a mismatch, ``python tests/test_service_golden.py`` prints the
 digests the current code produces.
@@ -237,8 +238,10 @@ def test_cases_exercise_every_path():
 WETLAB_GOLDEN = "754316561baf8b46c0a0512d6e2addd458a109052fa11f7705ff792a6cf8451e"
 
 
-@pytest.mark.parametrize("workers", (1, 2))
-def test_wetlab_outcomes_match_golden(workers):
+@pytest.mark.parametrize(
+    "workers, shards", [(1, None), (2, None), (2, 2)], ids=["1", "2", "2x2"]
+)
+def test_wetlab_outcomes_match_golden(workers, shards):
     pytest.importorskip("numpy")
     store, catalog = build_store(objects=3, leaf_count=16)
     trace = multi_tenant_trace(
@@ -250,6 +253,7 @@ def test_wetlab_outcomes_match_golden(workers):
         wetlab_lanes=2,
         cache_capacity_bytes=store.volume.block_size * 32,
         decode_workers=workers,
+        decode_cluster_shards=shards,
     )
     report = ServicePipeline(store, config=config).run(
         trace, "batched+cache", fidelity="wetlab"
