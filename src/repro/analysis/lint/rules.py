@@ -755,15 +755,15 @@ class PickleBoundaryRule(Rule):
     code = "RL008"
     name = "pickle-boundary"
     description = (
-        "Types crossing the DecodeEngine process boundary (DecodeTask / "
-        "DecodeOutcome fields, the _run_task and _run_stage_task "
-        "signatures) must appear in PICKLE_BOUNDARY_TYPES — the declared "
+        "Types crossing the DecodeEngine process boundary (DecodeTask "
+        "fields, the _run_task and _run_stage_task signatures) must "
+        "appear in PICKLE_BOUNDARY_TYPES — the declared "
         "set of types proven to pickle deterministically "
         "(GaloisField.cached precedent)."
     )
     scopes = ("src/repro/pipeline/parallel.py",)
 
-    _BOUNDARY_CLASSES = ("DecodeTask", "DecodeOutcome")
+    _BOUNDARY_CLASSES = ("DecodeTask",)
     _BOUNDARY_FUNCTIONS: tuple[str, ...] = ("_run_task", "_run_stage_task")
 
     def check(self, ctx: FileContext) -> list[Finding]:
@@ -813,8 +813,8 @@ class PickleBoundaryRule(Rule):
                 self.finding(
                     ctx,
                     1,
-                    "expected DecodeTask/DecodeOutcome/_run_task/"
-                    "_run_stage_task boundary declarations were not found; "
+                    "expected DecodeTask/_run_task/_run_stage_task "
+                    "boundary declarations were not found; "
                     "update PickleBoundaryRule alongside the engine",
                 )
             )

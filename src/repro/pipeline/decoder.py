@@ -33,7 +33,7 @@ from repro.exceptions import (
     UpdateError,
 )
 from repro.pipeline.clustering import ReadCluster, cluster_reads
-from repro.pipeline.consensus import consensus_batch, double_sided_bma
+from repro.pipeline.consensus import consensus_batch
 from repro.pipeline.reads import reads_with_prefix
 from repro.observability.stages import stage
 
@@ -50,10 +50,12 @@ class _Candidate:
 class ReadoutPlan:
     """The prefix-filtered input of one readout decode.
 
-    Produced by :meth:`BlockDecoder.readout_plan`; downstream stages
-    (clustering, consensus, candidate collection, solving) consume the
-    plan instead of re-deriving targets and filtered reads, which lets
-    the staged decode engine run those stages as separate pool tasks.
+    Produced by :meth:`BlockDecoder.readout_plan` (main-primer filter,
+    many targets) or by :meth:`BlockDecoder.decode_block` (the block's
+    elongated-primer filter, one target); downstream stages (clustering,
+    consensus, candidate collection, solving) consume the plan instead of
+    re-deriving targets and filtered reads, which lets the staged decode
+    engine run those stages as separate pool tasks.
     """
 
     targets: list[int]
@@ -184,14 +186,6 @@ class BlockDecoder:
         )
         return start, length
 
-    def _reconstruct(self, cluster: ReadCluster) -> Molecule | None:
-        """Reconstruct a cluster's strand and parse it into a molecule."""
-        strand = double_sided_bma(cluster.reads, self._layout.strand_length)
-        try:
-            return Molecule.from_strand(strand, self._layout)
-        except DecodingError:
-            return None
-
     def consensus_strands(self, clusters: list[ReadCluster]) -> list[str]:
         """Reconstruct every cluster's consensus strand in one batched call."""
         with stage("consensus"):
@@ -209,48 +203,6 @@ class BlockDecoder:
                 molecules.append(None)
         return molecules
 
-    def _reconstruct_all(self, clusters: list[ReadCluster]) -> list[Molecule | None]:
-        """Consensus + parse of every cluster, consensi in one batched call."""
-        return self.parse_strands(self.consensus_strands(clusters))
-
-    # ------------------------------------------------------------------
-    # Candidate collection
-    # ------------------------------------------------------------------
-    def _collect_candidates(
-        self, clusters: list[ReadCluster], block: int, report: DecodeReport
-    ) -> dict[tuple[int, int], list[_Candidate]]:
-        candidates: dict[tuple[int, int], list[_Candidate]] = {}
-        # Version slots are digital metadata: the partition knows exactly
-        # how many patches each block has logged.  A narrow precise access
-        # can misprime onto a *neighbouring* block's patch strand and
-        # overwrite its address prefix with the target's (PCR products
-        # carry their primer), parking a perfectly well-formed phantom
-        # patch in a slot the target never wrote — bound slots to the
-        # logged count so such artifacts can never apply.
-        max_slot = self.partition.update_count(block)
-        molecules = self._reconstruct_all(clusters)
-        for cluster, molecule in zip(clusters, molecules):
-            report.clusters_used += 1
-            if molecule is None:
-                continue
-            address = self.partition.parse_unit_index(molecule.unit_index)
-            if address is None or address.block != block:
-                continue
-            if address.slot > max_slot:
-                report.duplicate_strands_discarded += 1
-                continue
-            key = (address.slot, molecule.intra_index)
-            bucket = candidates.setdefault(key, [])
-            if bucket:
-                report.duplicate_strands_discarded += 1
-            if len(bucket) < self.max_candidates_per_address:
-                if all(molecule.payload != existing.payload for existing in bucket):
-                    bucket.append(
-                        _Candidate(payload=molecule.payload, cluster_size=cluster.size)
-                    )
-        report.strands_recovered = len(candidates)
-        return candidates
-
     # ------------------------------------------------------------------
     # Unit decoding with the bounded candidate search of Section 8.1
     # ------------------------------------------------------------------
@@ -259,28 +211,6 @@ class BlockDecoder:
             return self.partition.decode_unit(columns)
         except (ReedSolomonError, DecodingError):
             return None
-
-    def _decode_primaries_batched(
-        self, by_slot: dict[int, dict[int, list[_Candidate]]]
-    ) -> dict[int, bytes]:
-        """Decode every slot's primary candidates in one backend pass.
-
-        The common case — enough clean strands per slot — needs no
-        candidate substitution, so all units of the block (original plus
-        update slots) go through one batched Reed-Solomon decode.  Failed
-        slots are absent from the result and fall back to the bounded
-        per-slot search.
-        """
-        data_columns = self.partition.config.unit_layout.data_molecules
-        primaries = {
-            slot: {
-                column: candidates[0].payload
-                for column, candidates in by_slot[slot].items()
-            }
-            for slot in sorted(by_slot)
-            if len(by_slot[slot]) >= data_columns
-        }
-        return try_decode_units_batch(self.partition, primaries)
 
     def _finish_block(
         self,
@@ -395,70 +325,11 @@ class BlockDecoder:
         return None
 
     # ------------------------------------------------------------------
-    # Public API
-    # ------------------------------------------------------------------
-    def decode_block(self, reads: list[str], block: int) -> DecodeReport:
-        """Decode one block (and its updates) from sequencing reads.
-
-        Args:
-            reads: read strings, e.g. from a precise-PCR sequencing run.
-            block: the target block number.
-
-        Returns:
-            A :class:`DecodeReport`; ``report.data`` holds the block's
-            current contents (original data with all recovered updates
-            applied) when ``report.success`` is True.
-        """
-        report = DecodeReport(block=block, reads_total=len(reads))
-        target_prefix = self.partition.primer_for_block(block).sequence
-        on_prefix = reads_with_prefix(
-            reads, target_prefix, max_errors=self.max_prefix_errors
-        )
-        report.reads_on_prefix = len(on_prefix)
-        if not on_prefix:
-            return report
-
-        signature_start, signature_length = self._signature_window()
-        with stage("cluster"):
-            clusters = cluster_reads(
-                on_prefix,
-                signature_start=signature_start,
-                signature_length=signature_length,
-                max_read_distance=self.max_read_distance,
-                distance_backend=self.distance_backend,
-                shards=self.cluster_shards,
-            )
-        report.clusters_total = len(clusters)
-
-        candidates = self._collect_candidates(clusters, block, report)
-        by_slot: dict[int, dict[int, list[_Candidate]]] = {}
-        for (slot, column), column_candidates in candidates.items():
-            by_slot.setdefault(slot, {})[column] = column_candidates
-        if 0 not in by_slot:
-            return report
-
-        with stage("syndrome_solve"):
-            prebatched = self._decode_primaries_batched(by_slot)
-            return self._finish_block(by_slot, prebatched, report)
-
-    def decode_partition(self, reads: list[str]) -> dict[int, DecodeReport]:
-        """Decode every written block of the partition from a full readout.
-
-        Intended for whole-partition retrievals (the baseline random access
-        of Figure 9a): the reads are filtered per block by prefix and each
-        block is decoded independently.  For the batched alternative that
-        clusters the readout once, see :meth:`decode_readout`.
-        """
-        reports: dict[int, DecodeReport] = {}
-        for block in self.partition.written_blocks():
-            reports[block] = self.decode_block(reads, block)
-        return reports
-
-    # ------------------------------------------------------------------
-    # Readout decode, decomposed by stage.  ``decode_readout`` composes
-    # these pieces inline; the staged decode engine drives the same
-    # pieces with the cluster shards, consensus batches and the batched
-    # solve running as separate pool tasks — byte-identical either way.
+    # Readout decode, decomposed by stage.  ``decode_block`` and
+    # ``decode_readout`` compose these pieces inline; the staged decode
+    # engine drives the same pieces with the cluster shards, consensus
+    # batches and the batched solve running as separate pool tasks —
+    # byte-identical either way.
     # ------------------------------------------------------------------
     def readout_plan(
         self, reads: list[str], blocks: list[int] | None = None
@@ -582,6 +453,46 @@ class BlockDecoder:
             reports[block] = report
         return reports
 
+    def _decode_plan(self, plan: ReadoutPlan) -> dict[int, DecodeReport]:
+        """Cluster → consensus → collect → batched solve → finish."""
+        clusters = self.cluster_readout(plan)
+        strands = self.consensus_strands(clusters)
+        collected = self.collect_readout(plan, clusters, strands)
+        with stage("syndrome_solve"):
+            decoded_units = try_decode_units_batch(
+                self.partition, collected.batch_units
+            )
+            return self.finish_readout(plan, collected, decoded_units)
+
+    # ------------------------------------------------------------------
+    # Public API
+    # ------------------------------------------------------------------
+    def decode_block(self, reads: list[str], block: int) -> DecodeReport:
+        """Decode one block (and its updates) from sequencing reads.
+
+        The readout decode restricted to one target: only reads carrying
+        the block's elongated primer enter clustering, and only strands
+        whose parsed address names the block become candidates.
+
+        Args:
+            reads: read strings, e.g. from a precise-PCR sequencing run.
+            block: the target block number.
+
+        Returns:
+            A :class:`DecodeReport`; ``report.data`` holds the block's
+            current contents (original data with all recovered updates
+            applied) when ``report.success`` is True.
+        """
+        target_prefix = self.partition.primer_for_block(block).sequence
+        plan = ReadoutPlan(
+            targets=[block],
+            reads_total=len(reads),
+            on_prefix=reads_with_prefix(
+                reads, target_prefix, max_errors=self.max_prefix_errors
+            ),
+        )
+        return self._decode_plan(plan)[block]
+
     def decode_readout(
         self,
         reads: list[str],
@@ -589,13 +500,12 @@ class BlockDecoder:
     ) -> dict[int, DecodeReport]:
         """Decode many blocks from one readout with a single clustering pass.
 
-        Unlike :meth:`decode_partition` (which re-filters and re-clusters
-        the readout for every block), this batched path clusters the reads
-        once against the partition's main primer, attributes each
-        reconstructed strand to its parsed block address, and then decodes
-        every recovered encoding unit — all blocks, all update slots — in
-        one batched Reed-Solomon pass, falling back to the per-slot
-        candidate search only for units the batch could not correct.
+        The reads are clustered once against the partition's main primer,
+        each reconstructed strand is attributed to its parsed block
+        address, and every recovered encoding unit — all blocks, all
+        update slots — is decoded in one batched Reed-Solomon pass,
+        falling back to the per-slot candidate search only for units the
+        batch could not correct.
 
         Args:
             reads: read strings of a whole-partition (or multi-block
@@ -607,12 +517,4 @@ class BlockDecoder:
             One :class:`DecodeReport` per requested block.  Cluster counts
             in the reports refer to the shared clustering pass.
         """
-        plan = self.readout_plan(reads, blocks)
-        clusters = self.cluster_readout(plan)
-        strands = self.consensus_strands(clusters)
-        collected = self.collect_readout(plan, clusters, strands)
-        with stage("syndrome_solve"):
-            decoded_units = try_decode_units_batch(
-                self.partition, collected.batch_units
-            )
-            return self.finish_readout(plan, collected, decoded_units)
+        return self._decode_plan(self.readout_plan(reads, blocks))

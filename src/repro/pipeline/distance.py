@@ -37,6 +37,12 @@ class DistanceBackend:
 
     name = "base"
 
+    def __reduce__(self):
+        # Pickling (e.g. shipping a backend to a decode worker) travels by
+        # name and resolves to the shared per-process instance, so a
+        # backend holding a module reference still crosses the boundary.
+        return (get_distance_backend, (self.name,))
+
     def first_within(
         self, query: str, candidates: list[str], max_distance: int
     ) -> int | None:

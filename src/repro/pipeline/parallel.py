@@ -29,11 +29,8 @@ processes:
   batched syndrome solve — scheduled by a :class:`StageProfile` (EWMA
   seconds-per-unit fed back from workers), so a hot partition's cluster
   shards interleave with other partitions' consensus work instead of
-  head-of-line blocking one worker.  A task whose distance backend is an
-  instance rather than a name cannot ship its backend to a stage task,
-  so such a batch decodes one pool task per partition instead.  Results
-  are byte-identical either way because the stage pieces are exactly
-  the serial path's phases.
+  head-of-line blocking one worker.  Results are byte-identical either
+  way because the stage pieces are exactly the serial path's phases.
 * **Robustness.**  A broken pool (a worker killed mid-cycle) falls back to
   decoding the remaining tasks inline rather than failing the cycle.
 
@@ -93,6 +90,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
         ReadoutPlan,
         RoutedReads,
     )
+    from repro.pipeline.distance import DistanceBackend
 
 _WORKERS_ENV = "REPRO_DECODE_WORKERS"
 
@@ -111,9 +109,9 @@ _STAGE_OF_KIND = {
 }
 
 #: The only type names allowed to cross the worker-process boundary —
-#: :class:`DecodeTask` / :class:`DecodeOutcome` fields and the
-#: :func:`_run_task` / :func:`_run_stage_task` signatures may reference
-#: nothing outside this set (reprolint rule RL008).  Every non-builtin
+#: :class:`DecodeTask` fields and the :func:`_run_task` /
+#: :func:`_run_stage_task` signatures may reference nothing outside this
+#: set (reprolint rule RL008).  Every non-builtin
 #: entry must pickle deterministically: ``Partition`` carries its geometry
 #: by value and its ``GaloisField`` resolves through ``GaloisField.cached``
 #: (``__reduce__``), so workers share one per-process table source instead
@@ -176,24 +174,6 @@ class DecodeTask:
     blocks: list[int] | None = None
     decoder_options: dict = field(default_factory=dict)
     label: str = ""
-
-
-@dataclass
-class DecodeOutcome:
-    """The result of one :class:`DecodeTask`.
-
-    Attributes:
-        reports: per-block decode reports, as
-            :meth:`BlockDecoder.decode_readout` returns them.
-        stages: the task's stage timing breakdown (worker wall-clock;
-            under staged decoding the sum over the task's stage tasks).
-        seconds: total wall-clock of the task's decode (elapsed time from
-            first to last stage under staged decoding).
-    """
-
-    reports: "dict[int, DecodeReport]"
-    stages: dict[str, float]
-    seconds: float
 
 
 def _observed(execute, trace: bool | None, span: str, **attributes) -> tuple:
@@ -345,7 +325,6 @@ class _StagedTask:
     index: int
     task: DecodeTask
     decoder: "BlockDecoder"
-    begin: float
     plan: "ReadoutPlan | None" = None
     routed: "RoutedReads | None" = None
     payloads: list[ClusterShard] = field(default_factory=list)
@@ -355,11 +334,6 @@ class _StagedTask:
     strand_parts: list = field(default_factory=list)
     batches_remaining: int = 0
     collected: "ReadoutCandidates | None" = None
-    stages: dict[str, float] = field(default_factory=dict)
-
-    def fold(self, stages: dict[str, float]) -> None:
-        for name, seconds in stages.items():
-            self.stages[name] = self.stages.get(name, 0.0) + seconds
 
 
 class DecodeEngine:
@@ -371,8 +345,8 @@ class DecodeEngine:
         cluster_shards: intra-partition clustering shard count (``None``
             = ``REPRO_CLUSTER_SHARDS``, then 1).  With shards > 1 a
             multi-worker engine decomposes readouts into profile-staged
-            stage tasks (see :meth:`_staged_eligible`); results are
-            byte-identical at any shard count.
+            stage tasks; with one shard it decodes one pool task per
+            partition.  Results are byte-identical at any shard count.
     """
 
     def __init__(
@@ -411,8 +385,10 @@ class DecodeEngine:
     # ------------------------------------------------------------------
     # Decoding
     # ------------------------------------------------------------------
-    def decode(self, tasks: Sequence[DecodeTask]) -> list[DecodeOutcome]:
-        """Decode every task, returning outcomes in task order.
+    def decode(
+        self, tasks: Sequence[DecodeTask]
+    ) -> "list[dict[int, DecodeReport]]":
+        """Decode every task, returning its per-block reports in task order.
 
         Results are byte-identical for any worker count and shard count,
         staged or not; stage timings are folded into the caller's active
@@ -428,7 +404,7 @@ class DecodeEngine:
         ):
             if self.workers == 1:
                 return [self._decode_inline(task) for task in tasks]
-            if self._staged_eligible(tasks):
+            if self.cluster_shards > 1:
                 return self._decode_staged(tasks)
             return self._decode_pooled(tasks)
 
@@ -438,34 +414,17 @@ class DecodeEngine:
             return task.decoder_options
         return {**task.decoder_options, "cluster_shards": self.cluster_shards}
 
-    def _staged_eligible(self, tasks: Sequence[DecodeTask]) -> bool:
-        """Whether this decode batch can run as staged stage tasks.
-
-        Staging requires shards (otherwise the monolithic task *is* the
-        unit of parallelism) and distance backends given by name — a
-        backend *instance* cannot ride a stage task, so such tasks keep
-        the monolithic path where the backend object never leaves the
-        worker-side decoder.
-        """
-        if self.cluster_shards <= 1:
-            return False
-        for task in tasks:
-            backend = task.decoder_options.get("distance_backend")
-            if backend is not None and not isinstance(backend, str):
-                return False
-        return True
-
-    def _decode_inline(self, task: DecodeTask) -> DecodeOutcome:
+    def _decode_inline(self, task: DecodeTask) -> "dict[int, DecodeReport]":
         with maybe_wall_span(
             f"decode:{task.label or 'task'}",
             blocks=len(task.blocks) if task.blocks is not None else None,
             reads=len(task.reads),
         ):
-            reports, stages, seconds, _ = _run_task(
+            reports, stages, _, _ = _run_task(
                 task.partition, task.blocks, self._task_options(task), task.reads
             )
         record_stages(stages)
-        return DecodeOutcome(reports=reports, stages=stages, seconds=seconds)
+        return reports
 
     def _run_ordered(self, entry, calls: Sequence[tuple[tuple, str]]) -> list:
         """Run ``entry(*args, trace, label)`` per call on the pool, in order.
@@ -474,7 +433,7 @@ class DecodeEngine:
         so results line up with ``calls`` deterministically.  Each
         result's stage seconds are recorded into the caller's collector
         and its spans adopted into the caller's tracer.  Returns one
-        ``(result, stages, seconds)`` per call, or ``None`` for a call a
+        ``(result, seconds)`` per call, or ``None`` for a call a
         broken pool never finished — the caller runs those inline, and
         the next decode starts a fresh pool.
         """
@@ -502,13 +461,15 @@ class DecodeEngine:
             record_stages(stages)
             if parent_tracer is not None and spans:
                 parent_tracer.adopt(spans)
-            results[index] = (result, stages, seconds)
+            results[index] = (result, seconds)
         if broken:
             # A dead pool must not fail the cycle.
             self.shutdown()
         return results
 
-    def _decode_pooled(self, tasks: Sequence[DecodeTask]) -> list[DecodeOutcome]:
+    def _decode_pooled(
+        self, tasks: Sequence[DecodeTask]
+    ) -> "list[dict[int, DecodeReport]]":
         results = self._run_ordered(
             _run_task,
             [
@@ -520,30 +481,22 @@ class DecodeEngine:
             ],
         )
         return [
-            DecodeOutcome(*result)
-            if result is not None
-            else self._decode_inline(task)
+            result[0] if result is not None else self._decode_inline(task)
             for task, result in zip(tasks, results)
         ]
 
     # ------------------------------------------------------------------
     # Staged decoding (intra-partition parallelism)
     # ------------------------------------------------------------------
-    def _timed_stage(self, state: _StagedTask, name: str, fn):
-        """Run a parent-side stage piece under the stage collector."""
-        begin = wall_now()
-        with stage(name):
-            result = fn()
-        state.fold({name: wall_now() - begin})
-        return result
-
     def _submission_cost(self, submission: _StageSubmission) -> float:
         predicted = self.profile.predict(
             _STAGE_OF_KIND[submission.kind], submission.units
         )
         return predicted if predicted is not None else float(submission.units)
 
-    def _decode_staged(self, tasks: Sequence[DecodeTask]) -> list[DecodeOutcome]:
+    def _decode_staged(
+        self, tasks: Sequence[DecodeTask]
+    ) -> "list[dict[int, DecodeReport]]":
         """Decode tasks as interleaved cluster/consensus/solve stage tasks.
 
         An event loop over ``concurrent.futures.wait``: each completed
@@ -559,7 +512,7 @@ class DecodeEngine:
         from repro.pipeline.decoder import BlockDecoder
 
         shards = self.cluster_shards
-        outcomes: list[DecodeOutcome | None] = [None] * len(tasks)
+        reports: "list[dict[int, DecodeReport] | None]" = [None] * len(tasks)
         parent_tracer = current_tracer()
         trace_flag = parent_tracer is not None
         broken = False
@@ -599,11 +552,10 @@ class DecodeEngine:
                 index=index,
                 task=task,
                 decoder=BlockDecoder(task.partition, **task.decoder_options),
-                begin=wall_now(),
             )
             states.append(state)
             state.plan = state.decoder.readout_plan(task.reads, task.blocks)
-            wave.extend(self._staged_route(state, shards, outcomes))
+            wave.extend(self._staged_route(state, shards, reports))
         flush(wave)
 
         while waiting and not broken:
@@ -616,14 +568,14 @@ class DecodeEngine:
                 except BrokenProcessPool:
                     broken = True
                     break
-                state = states[task_index]
-                state.fold(stages)
                 record_stages(stages)
                 if parent_tracer is not None and spans:
                     parent_tracer.adopt(spans)
                 self.profile.observe(_STAGE_OF_KIND[kind], units, seconds)
                 wave.extend(
-                    self._staged_advance(state, kind, position, result, outcomes)
+                    self._staged_advance(
+                        states[task_index], kind, position, result, reports
+                    )
                 )
             flush(wave)
         if broken:
@@ -632,23 +584,22 @@ class DecodeEngine:
         # partial stage results are discarded so the fallback is exactly
         # the serial path.
         return [
-            outcome
-            if outcome is not None
+            task_reports
+            if task_reports is not None
             else self._decode_inline(tasks[index])
-            for index, outcome in enumerate(outcomes)
+            for index, task_reports in enumerate(reports)
         ]
 
     def _staged_route(
         self,
         state: _StagedTask,
         shards: int,
-        outcomes: list[DecodeOutcome | None],
+        reports: "list[dict[int, DecodeReport] | None]",
     ) -> list[_StageSubmission]:
         """Route one readout's reads (sequential phase 1) and shard it."""
         decoder = state.decoder
         signature_start, signature_length = decoder._signature_window()
-
-        def route() -> None:
+        with stage("cluster"):
             state.routed = route_reads(
                 state.plan.on_prefix,
                 signature_start=signature_start,
@@ -659,11 +610,9 @@ class DecodeEngine:
             state.payloads = build_shard_payloads(
                 state.plan.on_prefix, state.routed.bucket_reads, shards
             )
-
-        self._timed_stage(state, "cluster", route)
         if not state.payloads:
             state.shard_outputs = []
-            return self._staged_after_cluster(state, outcomes)
+            return self._staged_after_cluster(state, reports)
         state.shard_outputs = [None] * len(state.payloads)
         state.shards_remaining = len(state.payloads)
         options = {
@@ -691,7 +640,7 @@ class DecodeEngine:
         kind: str,
         position: int,
         result,
-        outcomes: list[DecodeOutcome | None],
+        reports: "list[dict[int, DecodeReport] | None]",
     ) -> list[_StageSubmission]:
         """Fold one completed stage task; return the next submissions."""
         if kind == "cluster":
@@ -699,7 +648,7 @@ class DecodeEngine:
             state.shards_remaining -= 1
             if state.shards_remaining:
                 return []
-            return self._staged_after_cluster(state, outcomes)
+            return self._staged_after_cluster(state, reports)
         if kind == "consensus":
             state.strand_parts[position] = result
             state.batches_remaining -= 1
@@ -708,23 +657,21 @@ class DecodeEngine:
             strands = [
                 strand for part in state.strand_parts for strand in part
             ]
-            return self._staged_after_consensus(state, strands, outcomes)
-        self._staged_finish(state, result, outcomes)
+            return self._staged_after_consensus(state, strands, reports)
+        self._staged_finish(state, result, reports)
         return []
 
     def _staged_after_cluster(
-        self, state: _StagedTask, outcomes: list[DecodeOutcome | None]
+        self, state: _StagedTask, reports: "list[dict[int, DecodeReport] | None]"
     ) -> list[_StageSubmission]:
         """Merge shard outputs; fan the clusters out as consensus batches."""
-        def merge() -> None:
+        with stage("cluster"):
             state.clusters = merge_shard_clusters(
                 state.routed, state.shard_outputs
             )
-
-        self._timed_stage(state, "cluster", merge)
         groups = [cluster.reads for cluster in state.clusters]
         if not groups:
-            return self._staged_after_consensus(state, [], outcomes)
+            return self._staged_after_consensus(state, [], reports)
         batches = split_consensus_batches(groups, self.cluster_shards)
         state.strand_parts = [None] * len(batches)
         state.batches_remaining = len(batches)
@@ -747,7 +694,7 @@ class DecodeEngine:
         self,
         state: _StagedTask,
         strands: list[str],
-        outcomes: list[DecodeOutcome | None],
+        reports: "list[dict[int, DecodeReport] | None]",
     ) -> list[_StageSubmission]:
         """Collect candidates; solve remotely only when predictably big."""
         state.collected = state.decoder.collect_readout(
@@ -770,37 +717,28 @@ class DecodeEngine:
                 )
             ]
 
-        def solve() -> dict:
-            from repro.pipeline.decoder import try_decode_units_batch
-
-            return try_decode_units_batch(state.task.partition, units)
+        from repro.pipeline.decoder import try_decode_units_batch
 
         begin = wall_now()
-        decoded_units = self._timed_stage(state, "syndrome_solve", solve)
+        with stage("syndrome_solve"):
+            decoded_units = try_decode_units_batch(state.task.partition, units)
         self.profile.observe(
             "syndrome_solve", max(1, len(units)), wall_now() - begin
         )
-        self._staged_finish(state, decoded_units, outcomes)
+        self._staged_finish(state, decoded_units, reports)
         return []
 
     def _staged_finish(
         self,
         state: _StagedTask,
         decoded_units: dict,
-        outcomes: list[DecodeOutcome | None],
+        reports: "list[dict[int, DecodeReport] | None]",
     ) -> None:
         """Assemble the task's reports (always in the parent)."""
-        def finish() -> "dict[int, DecodeReport]":
-            return state.decoder.finish_readout(
+        with stage("syndrome_solve"):
+            reports[state.index] = state.decoder.finish_readout(
                 state.plan, state.collected, decoded_units
             )
-
-        reports = self._timed_stage(state, "syndrome_solve", finish)
-        outcomes[state.index] = DecodeOutcome(
-            reports=reports,
-            stages=dict(state.stages),
-            seconds=wall_now() - state.begin,
-        )
 
     # ------------------------------------------------------------------
     # Sharded clustering as a standalone service (benchmarks, callers
@@ -815,7 +753,7 @@ class DecodeEngine:
         max_signature_errors: int = DEFAULT_MAX_SIGNATURE_ERRORS,
         max_read_distance: int = DEFAULT_MAX_READ_DISTANCE,
         min_kmer_similarity: float = DEFAULT_MIN_KMER_SIMILARITY,
-        distance_backend: str | None = None,
+        distance_backend: "str | DistanceBackend | None" = None,
         shards: int | None = None,
     ) -> tuple[list[ReadCluster], list[dict]]:
         """Cluster one read batch with shard agglomeration on the pool.
@@ -827,15 +765,7 @@ class DecodeEngine:
         one ``{shard, buckets, reads, seconds}`` row per non-empty shard,
         in shard order — the per-shard cluster-stage breakdown the
         decoding benchmark publishes.
-
-        ``distance_backend`` must be a backend *name* (or ``None``):
-        backend instances cannot cross the worker pickle boundary.
         """
-        if distance_backend is not None and not isinstance(distance_backend, str):
-            raise DecodingError(
-                "cluster_sharded needs a distance-backend name (or None); "
-                "backend instances cannot cross the worker boundary"
-            )
         shard_count = (
             self.cluster_shards if shards is None else resolve_cluster_shards(shards)
         )
@@ -878,7 +808,7 @@ class DecodeEngine:
                     result, stages, seconds, _ = _run_stage_task(*args)
                     record_stages(stages)
                 else:
-                    result, _, seconds = pooled
+                    result, seconds = pooled
                 self.profile.observe("cluster", len(payload.reads), seconds)
                 outputs.append(result)
                 stats.append(
@@ -938,7 +868,6 @@ def _shutdown_shared_engines() -> None:  # pragma: no cover - exit hook
 
 __all__ = [
     "DecodeEngine",
-    "DecodeOutcome",
     "DecodeTask",
     "StageProfile",
     "resolve_worker_count",

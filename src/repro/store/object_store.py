@@ -346,8 +346,9 @@ class ObjectStore:
         so only the affected requests re-enter a deeper-coverage cycle.
 
         Each partition's readout is one task of the process-parallel
-        :class:`~repro.pipeline.parallel.DecodeEngine`; ``workers``,
-        ``cluster_shards`` and ``decoder_options`` are as in
+        :class:`~repro.pipeline.parallel.DecodeEngine`, which returns the
+        task's per-block :class:`~repro.pipeline.decoder.DecodeReport` s;
+        ``workers``, ``cluster_shards`` and ``decoder_options`` are as in
         :meth:`decode_blocks`, and results are byte-identical for any
         worker and shard count.
 
@@ -377,7 +378,7 @@ class ObjectStore:
                 )
             )
         engine = shared_engine(workers=workers, cluster_shards=cluster_shards)
-        outcomes = engine.decode(tasks)
+        reports_by_task = engine.decode(tasks)
 
         payloads: dict[tuple[str, int], bytes] = {}
         failures: dict[tuple[str, int], str] = {}
@@ -389,7 +390,7 @@ class ObjectStore:
                     )
                 continue
             partition = self.volume.partition(partition_name)
-            reports = outcomes[task_index_of[partition_name]].reports
+            reports = reports_by_task[task_index_of[partition_name]]
             for block in targets:
                 report = reports[block]
                 if not report.success or report.data is None:

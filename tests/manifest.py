@@ -34,6 +34,7 @@ NUMPY_FREE: tuple[str, ...] = (
     "test_capacity.py",
     "test_cluster_shards.py",
     "test_codec_backends.py",
+    "test_consensus_backends.py",
     "test_constrained.py",
     "test_distance_backends.py",
     "test_elongation.py",

@@ -1,5 +1,8 @@
 """Tests for the end-to-end block decoder on small simulated readouts."""
 
+import dataclasses
+import hashlib
+
 import pytest
 
 from repro.core.partition import Partition, PartitionConfig
@@ -92,3 +95,62 @@ class TestBlockDecoder:
         assert report.success
         expected = partition.read_block_reference(4)
         assert report.data[: len(expected)] == expected
+
+
+#: SHA-256 over ``repr(dataclasses.asdict(report))`` of every report of
+#: :func:`_digest_grid`, in grid order.  Any change to what
+#: ``decode_block`` reports — success, bytes, counts, recovered slots —
+#: moves it.
+DECODE_BLOCK_DIGEST = (
+    "1f0085f79d33c8ccaf21548dc0910cc69cc18f8afe4ae3ececa7d4163934899a"
+)
+
+#: Blocks of the digest grid: both ends of the partition plus the block
+#: patched once (7) and the block patched twice (12).
+DIGEST_BLOCKS = (0, 7, 12, 19)
+DIGEST_COVERAGES = (600, 120, 40, 15)
+
+
+@pytest.fixture(scope="module")
+def patched_setup():
+    """A 20-block partition with block 7 patched once and block 12 twice."""
+    partition = Partition(PartitionConfig(primers=PAIR, leaf_count=64, tree_seed=17))
+    partition.write(alice_like_text(20 * 256))
+    partition.update_block(7, UpdatePatch(5, 10, 5, b"[patched]"))
+    partition.update_block(12, UpdatePatch(0, 4, 0, b"[one]"))
+    partition.update_block(12, UpdatePatch(40, 0, 40, b"[two]"))
+    molecules = partition.all_molecules()
+    pool = synthesize(molecules, SynthesisVendor.twist(), seed=3)
+    for molecule in molecules:
+        address = partition.parse_unit_index(molecule.unit_index)
+        pool.metadata[molecule.to_strand()].update(block=address.block, slot=address.slot)
+    return partition, pool
+
+
+def _digest_grid(partition, pool):
+    """Reports over own/neighbour targets × coverages, plus empty reads."""
+    decoder = BlockDecoder(partition)
+    reports = []
+    for block in DIGEST_BLOCKS:
+        reads = precise_reads(partition, pool, block, read_count=600, seed=block)
+        neighbour = (block + 1) % 20
+        for count in DIGEST_COVERAGES:
+            for target in (block, neighbour):
+                reports.append(decoder.decode_block(reads[:count], target))
+        reports.append(decoder.decode_block([], block))
+    return reports
+
+
+class TestDecodeBlockDigest:
+    def test_reports_match_pinned_digest(self, patched_setup):
+        partition, pool = patched_setup
+        reports = _digest_grid(partition, pool)
+        digest = hashlib.sha256()
+        for report in reports:
+            digest.update(repr(dataclasses.asdict(report)).encode())
+        assert digest.hexdigest() == DECODE_BLOCK_DIGEST
+        # The grid must exercise both outcomes and the patched blocks.
+        decoded = {report.block for report in reports if report.success}
+        assert {7, 12} <= decoded
+        assert any(report.slots_recovered == [0, 1, 2] for report in reports)
+        assert any(not report.success and report.reads_on_prefix for report in reports)

@@ -16,7 +16,12 @@ import pytest
 from repro.exceptions import DecodingError, ServiceError
 from repro.pipeline import consensus
 from repro.pipeline.decoder import BlockDecoder
-from repro.pipeline.distance import PythonDistanceBackend
+from repro.pipeline.clustering import cluster_reads
+from repro.pipeline.distance import (
+    PythonDistanceBackend,
+    available_distance_backends,
+    get_distance_backend,
+)
 from repro.pipeline.parallel import (
     DecodeEngine,
     DecodeTask,
@@ -90,10 +95,6 @@ def _tasks(workload, **decoder_options) -> list[DecodeTask]:
         )
         for name, targets in blocks.items()
     ]
-
-
-def _reports(outcomes) -> list:
-    return [outcome.reports for outcome in outcomes]
 
 
 # ----------------------------------------------------------------------
@@ -179,11 +180,9 @@ class TestByteIdentity:
             forked = pooled.decode(tasks)
         finally:
             pooled.shutdown()
-        assert [outcome.reports for outcome in inline] == [
-            outcome.reports for outcome in forked
-        ]
-        for outcome in inline:
-            assert all(report.success for report in outcome.reports.values())
+        assert inline == forked
+        for reports in inline:
+            assert all(report.success for report in reports.values())
 
     def test_fused_and_reference_kernels_decode_identically(
         self, workload, monkeypatch
@@ -196,19 +195,14 @@ class TestByteIdentity:
         assert outputs["0"] == outputs["1"]
         assert not outputs["1"][1]
 
-    @pytest.mark.parametrize("staged", [True, False], ids=["1", "0"])
-    def test_sharded_staged_decode_is_byte_identical(
-        self, workload, monkeypatch, staged
-    ):
-        """Sharded decoding on the pool matches serial, staged or not.
+    @staticmethod
+    def _assert_pool_paths_match_serial(workload, monkeypatch, backend):
+        """Pooled (1 shard) and staged (4 shards) decoding match serial.
 
-        A distance backend given by name lets the engine stage readouts.
-        A backend instance cannot ride a stage task, so that leg decodes
-        one pool task per partition with the clustering sharded inside
-        the worker.  The path not under test is made to fail.
+        Each multi-worker run makes the scheduler not under test fail, so
+        a passing run proves which path decoded.
         """
         store, blocks, reads = workload
-        backend = None if staged else PythonDistanceBackend()
         baseline = store.try_decode_blocks(
             blocks, reads, workers=1, distance_backend=backend
         )
@@ -217,12 +211,39 @@ class TestByteIdentity:
         def refuse(*args, **kwargs):
             raise AssertionError("the other decode path ran")
 
-        other = "_decode_pooled" if staged else "_decode_staged"
-        monkeypatch.setattr(DecodeEngine, other, refuse)
-        sharded = store.try_decode_blocks(
-            blocks, reads, workers=2, cluster_shards=4, distance_backend=backend
+        for shards, other in ((1, "_decode_staged"), (4, "_decode_pooled")):
+            with monkeypatch.context() as patch:
+                patch.setattr(DecodeEngine, other, refuse)
+                decoded = store.try_decode_blocks(
+                    blocks,
+                    reads,
+                    workers=2,
+                    cluster_shards=shards,
+                    distance_backend=backend,
+                )
+            assert decoded == baseline
+
+    @pytest.mark.parametrize("by_name", [True, False], ids=["1", "0"])
+    def test_sharded_staged_decode_is_byte_identical(
+        self, workload, monkeypatch, by_name
+    ):
+        """A distance backend by name or as an instance decodes identically.
+
+        Backends pickle by name, so an instance rides the staged path's
+        stage tasks exactly like a name does.
+        """
+        backend = None if by_name else PythonDistanceBackend()
+        self._assert_pool_paths_match_serial(workload, monkeypatch, backend)
+
+    def test_numpy_backend_instance_decodes_identically(
+        self, workload, monkeypatch
+    ):
+        pytest.importorskip("numpy")
+        from repro.pipeline.distance import NumpyDistanceBackend
+
+        self._assert_pool_paths_match_serial(
+            workload, monkeypatch, NumpyDistanceBackend()
         )
-        assert sharded == baseline
 
     def test_missing_partition_reads_fail_identically(self, workload):
         store, blocks, reads = workload
@@ -268,9 +289,7 @@ class TestEngineInternals:
             recovered = engine.decode(tasks)
         finally:
             engine.shutdown()
-        assert [outcome.reports for outcome in recovered] == [
-            outcome.reports for outcome in expected
-        ]
+        assert recovered == expected
 
     def test_staged_broken_pool_falls_back_inline(self, workload):
         tasks = _tasks(workload)
@@ -281,9 +300,7 @@ class TestEngineInternals:
             recovered = engine.decode(tasks)
         finally:
             engine.shutdown()
-        assert [outcome.reports for outcome in recovered] == [
-            outcome.reports for outcome in expected
-        ]
+        assert recovered == expected
 
     def test_stage_profile_predicts_after_observation(self):
         profile = StageProfile()
@@ -323,6 +340,36 @@ class TestEngineInternals:
             record_stages({"cluster": 0.25})
         assert stages == {"cluster": 1.25, "consensus": 0.5}
         record_stages({"cluster": 9.0})  # no active collector: no-op
+
+    @pytest.mark.parametrize("name", available_distance_backends())
+    def test_distance_backend_pickles_by_name(self, name):
+        backend = get_distance_backend(name)
+        assert pickle.loads(pickle.dumps(backend)) is get_distance_backend(name)
+        fresh = type(backend)()
+        assert pickle.loads(pickle.dumps(fresh)) is get_distance_backend(name)
+
+    @pytest.mark.parametrize("name", available_distance_backends())
+    def test_cluster_sharded_accepts_backend_instances(self, workload, name):
+        store, blocks, reads = workload
+        partition_name = next(iter(blocks))
+        decoder = BlockDecoder(store.volume.partition(partition_name))
+        signature_start, signature_length = decoder._signature_window()
+        window = {
+            "signature_start": signature_start,
+            "signature_length": signature_length,
+        }
+        batch = reads[partition_name]
+        expected = cluster_reads(batch, distance_backend=name, **window)
+        engine = DecodeEngine(workers=2, cluster_shards=4)
+        try:
+            clusters, _ = engine.cluster_sharded(
+                batch, distance_backend=type(get_distance_backend(name))(), **window
+            )
+        finally:
+            engine.shutdown()
+        assert [(c.signature, c.reads) for c in clusters] == [
+            (c.signature, c.reads) for c in expected
+        ]
 
     def test_decode_task_pickles_with_shared_galois_tables(self, workload):
         store, blocks, reads = workload
@@ -386,7 +433,7 @@ class TestStageFaults:
             # The patched workers are retired; the same engine forks
             # clean ones and decodes byte-identically.
             engine.shutdown()
-            assert _reports(engine.decode(tasks)) == _reports(baseline)
+            assert engine.decode(tasks) == baseline
         finally:
             engine.shutdown()
 
@@ -399,7 +446,7 @@ class TestStageFaults:
         try:
             with pytest.raises(TypeError):
                 engine.decode(_tasks(workload, no_such_option=1))
-            assert _reports(engine.decode(tasks)) == _reports(baseline)
+            assert engine.decode(tasks) == baseline
         finally:
             engine.shutdown()
 

@@ -343,22 +343,22 @@ class TestPickleBoundary:
     def test_checks_run_task_signature_and_string_annotations(self, tmp_path):
         source = (
             "PICKLE_BOUNDARY_TYPES = frozenset({'str', 'dict', 'int', 'Report'})\n"
-            "class DecodeOutcome:\n"
+            "class TaskResult:\n"
             "    reports: 'dict[int, Report]'\n"
-            "def _run_task(task: Mystery) -> 'DecodeOutcome':\n"
-            "    return DecodeOutcome()\n"
+            "def _run_task(task: Mystery) -> 'TaskResult':\n"
+            "    return TaskResult()\n"
         )
         result = lint(tmp_path, {self.PARALLEL: source})
         flagged = {f.message.split("'")[1] for f in result.findings}
-        assert flagged == {"Mystery", "DecodeOutcome"}
+        assert flagged == {"Mystery", "TaskResult"}
 
     def test_quiet_when_boundary_is_declared(self, tmp_path):
         source = (
-            "PICKLE_BOUNDARY_TYPES = frozenset({'str', 'int', 'list', 'DecodeOutcome'})\n"
+            "PICKLE_BOUNDARY_TYPES = frozenset({'str', 'int', 'list', 'TaskResult'})\n"
             "class DecodeTask:\n"
             "    label: str\n"
             "    blocks: list[int]\n"
-            "def _run_task(task: str) -> 'DecodeOutcome':\n"
+            "def _run_task(task: str) -> 'TaskResult':\n"
             "    return None\n"
         )
         result = lint(tmp_path, {self.PARALLEL: source})
