@@ -43,7 +43,7 @@ def test_sec8_decode_block_from_few_reads(benchmark, alice_experiment, precise_a
         "Section 8 — decoding from few reads",
         [
             f"reads used (paper 225): {outcome.reads_used}",
-            f"clusters consumed (paper 31 largest): {outcome.report.clusters_used}",
+            f"clusters formed: {outcome.report.clusters_total}",
             f"strands recovered (paper 30): {outcome.report.strands_recovered}",
             f"duplicate-address strands discarded (mispriming): "
             f"{outcome.report.duplicate_strands_discarded}",
@@ -56,7 +56,7 @@ def test_sec8_decode_block_from_few_reads(benchmark, alice_experiment, precise_a
         "few_reads_decode",
         {
             "reads_used": outcome.reads_used,
-            "clusters_used": outcome.report.clusters_used,
+            "clusters_total": outcome.report.clusters_total,
             "strands_recovered": outcome.report.strands_recovered,
             "duplicate_strands_discarded": outcome.report.duplicate_strands_discarded,
             "decoded_correctly": bool(outcome.correct),

@@ -65,7 +65,7 @@ def main() -> None:
     decoding = experiment.run_decoding(precise, reads_to_use=300)
     print("\n[Section 8] decoding from few reads:")
     print(f"  reads used: {decoding.reads_used}, "
-          f"clusters consumed: {decoding.report.clusters_used}, "
+          f"clusters formed: {decoding.report.clusters_total}, "
           f"strands recovered: {decoding.report.strands_recovered}")
     print(f"  decoded correctly with update applied: {decoding.correct}")
 

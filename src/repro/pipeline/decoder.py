@@ -117,7 +117,6 @@ class DecodeReport:
         reads_total: reads given to the decoder.
         reads_on_prefix: reads that carried the expected prefix.
         clusters_total: clusters formed from the on-prefix reads.
-        clusters_used: clusters consumed (in size order).
         strands_recovered: distinct (slot, column) addresses with at least
             one candidate strand.
         duplicate_strands_discarded: reconstructed strands kept only as
@@ -136,7 +135,6 @@ class DecodeReport:
     reads_total: int = 0
     reads_on_prefix: int = 0
     clusters_total: int = 0
-    clusters_used: int = 0
     strands_recovered: int = 0
     duplicate_strands_discarded: int = 0
     decode_attempts: int = 0
@@ -436,7 +434,6 @@ class BlockDecoder:
                 reads_total=plan.reads_total,
                 reads_on_prefix=len(plan.on_prefix),
                 clusters_total=collected.clusters_total,
-                clusters_used=collected.clusters_total,
                 duplicate_strands_discarded=collected.duplicates.get(block, 0),
             )
             by_slot = collected.by_block_slot.get(block)

@@ -71,7 +71,6 @@ class ErrorModel:
         """Return a noisy copy of ``sequence`` under this error model."""
         if self.total_error_rate == 0.0:
             return sequence
-        bases = []
         alphabet = DNA_ALPHABET
         n = len(sequence)
         # Draw all random numbers in bulk for speed.
@@ -79,24 +78,40 @@ class ErrorModel:
         insertion_draws = rng.random(n + 1)
         deletion_draws = rng.random(n)
         random_bases = rng.integers(0, 4, size=2 * n + 2)
+        # At Illumina-class rates most reads carry no event at all, so only
+        # the positions where one fired are visited; the stretches between
+        # them are copied as slices.  Random bases are consumed in position
+        # order, an insertion before the substitution at the same position,
+        # and a deleted base is never substituted.
+        inserted = insertion_draws < self.insertion_rate
+        deleted = deletion_draws < self.deletion_rate
+        substituted = (substitution_draws < self.substitution_rate) & ~deleted
+        events = (inserted[:n] | deleted | substituted).nonzero()[0].tolist()
+        if not events and not inserted[n]:
+            return sequence
+        pieces = []
         random_cursor = 0
-        for i in range(n):
-            if insertion_draws[i] < self.insertion_rate:
-                bases.append(alphabet[random_bases[random_cursor]])
+        start = 0
+        for i in events:
+            pieces.append(sequence[start:i])
+            start = i + 1
+            if inserted[i]:
+                pieces.append(alphabet[random_bases[random_cursor]])
                 random_cursor += 1
-            if deletion_draws[i] < self.deletion_rate:
+            if deleted[i]:
                 continue
             base = sequence[i]
-            if substitution_draws[i] < self.substitution_rate:
+            if substituted[i]:
                 replacement = alphabet[random_bases[random_cursor]]
                 random_cursor += 1
                 if replacement == base:
                     replacement = alphabet[(alphabet.index(base) + 1) % 4]
                 base = replacement
-            bases.append(base)
-        if insertion_draws[n] < self.insertion_rate:
-            bases.append(alphabet[random_bases[random_cursor]])
-        return "".join(bases)
+            pieces.append(base)
+        pieces.append(sequence[start:])
+        if inserted[n]:
+            pieces.append(alphabet[random_bases[random_cursor]])
+        return "".join(pieces)
 
     def corrupt_many(
         self, sequences: list[str], rng: np.random.Generator

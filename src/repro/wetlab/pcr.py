@@ -107,25 +107,25 @@ class PCRConfig:
         )
 
 
-@dataclass
-class _PrimerBinding:
-    """Pre-computed binding behaviour of one primer against one species."""
-
-    exact: bool
-    mispriming_efficiency: float
-    product: str | None
-
-
 class PCRSimulator:
     """Simulates PCR amplification over a :class:`MolecularPool`.
 
     The simulator is deterministic: copy counts are expected values, not
     stochastic samples (the stochasticity of the physical process is folded
     into the synthesis skew and the sequencing sampling steps).
+
+    A primer anneals to a strand's first ``len(primer)`` bases (its
+    *footprint*), and the strands of one block share their footprint, so
+    the simulator memoizes the banded edit distance of every
+    ``(footprint, primer)`` pair it has scored.  The memo lives on the
+    instance, is valid for its config, and carries over between
+    reactions: a serving readout amplifies the same partitions with the
+    same primers cycle after cycle.
     """
 
     def __init__(self, config: PCRConfig) -> None:
         self.config = config
+        self._distances: dict[tuple[str, str], int] = {}
 
     # ------------------------------------------------------------------
     # Primer handling
@@ -136,33 +136,58 @@ class PCRSimulator:
             return primer.sequence
         return primer
 
-    def _binding(
+    def _mispriming_efficiency(self, footprint: str, forward: str) -> float:
+        """Per-cycle efficiency of ``forward`` annealing to a mismatched footprint."""
+        config = self.config
+        key = (footprint, forward)
+        distance = self._distances.get(key)
+        if distance is None:
+            distance = levenshtein_distance(
+                footprint, forward, upper_bound=config.max_mispriming_distance
+            )
+            self._distances[key] = distance
+        if distance > config.max_mispriming_distance:
+            return 0.0
+        return config.max_efficiency * (config.mismatch_penalty ** distance)
+
+    def _plan_strand(
         self,
         strand: str,
-        annotations: dict,
-        forward: str,
+        forward_sequences: list[str],
         reverse: str,
-    ) -> _PrimerBinding:
-        """Compute how a forward primer binds to a strand."""
+        residual_primer: str | None,
+    ) -> tuple[float, list[tuple[str, float]]]:
+        """A strand's capped self-gain and its misprimed products.
+
+        Returns ``(self_gain, [(product, mispriming_efficiency), ...])``;
+        both are fixed for one reaction, so :meth:`amplify` computes them
+        once per strand rather than once per cycle.  Only strands ending
+        with the reverse primer amplify.
+        """
         config = self.config
-        if not strand.endswith(reverse):
-            return _PrimerBinding(exact=False, mispriming_efficiency=0.0, product=None)
-        footprint = strand[: len(forward)]
-        if footprint == forward:
-            return _PrimerBinding(exact=True, mispriming_efficiency=0.0, product=None)
-        distance = levenshtein_distance(
-            footprint, forward, upper_bound=config.max_mispriming_distance
-        )
-        if distance > config.max_mispriming_distance:
-            return _PrimerBinding(exact=False, mispriming_efficiency=0.0, product=None)
-        efficiency = config.max_efficiency * (config.mismatch_penalty ** distance)
-        product = None
-        if config.overwrite_prefix:
-            product = forward + strand[len(forward):]
-        del annotations
-        return _PrimerBinding(
-            exact=False, mispriming_efficiency=efficiency, product=product
-        )
+        max_gain = config.max_efficiency
+        # Per-cycle gain of any single template is physically capped at
+        # one additional copy per existing copy (doubling), no matter how
+        # many primers can bind it.
+        self_gain = 0.0
+        misprimes: list[tuple[str, float]] = []
+        if strand.endswith(reverse):
+            # Products that start with a primer sequence amplify exactly;
+            # every other strand can only be misprimed.
+            if any(strand.startswith(fwd) for fwd in forward_sequences):
+                self_gain = max_gain
+            else:
+                for fwd in forward_sequences:
+                    efficiency = self._mispriming_efficiency(strand[: len(fwd)], fwd)
+                    if efficiency > 0.0:
+                        product = strand
+                        if config.overwrite_prefix:
+                            product = fwd + strand[len(fwd):]
+                        misprimes.append((product, efficiency))
+            # Residual main primers amplify everything in the partition.
+            if residual_primer is not None and strand.startswith(residual_primer):
+                self_gain = max(self_gain, config.residual_primer_efficiency)
+        return min(self_gain, max_gain), misprimes
 
     # ------------------------------------------------------------------
     # Amplification
@@ -177,6 +202,12 @@ class PCRSimulator:
         name: str | None = None,
     ) -> MolecularPool:
         """Run the configured number of PCR cycles and return the new pool.
+
+        Each strand is planned once per reaction, the first time it holds
+        copies: its self-gain per copy (an exact primer prefix or the
+        residual primer, capped at ``max_efficiency``) and its misprimed
+        ``(product, efficiency)`` pairs.  The cycle loop then only scales
+        copy counts.
 
         Args:
             pool: the input sample.
@@ -208,63 +239,34 @@ class PCRSimulator:
             metadata={seq: dict(meta) for seq, meta in pool.metadata.items()},
         )
 
-        # Pre-compute bindings for the initial species.  Products created by
-        # prefix overwrite match their primer exactly, so their binding is
-        # known without re-computation.
-        bindings: dict[str, list[_PrimerBinding]] = {}
+        config = self.config
+        plans: dict[str, tuple[float, list[tuple[str, float]]]] = {}
 
-        def bindings_for(strand: str) -> list[_PrimerBinding]:
-            if strand not in bindings:
-                bindings[strand] = [
-                    self._binding(strand, result.annotations(strand), fwd, reverse_primer)
-                    for fwd in forward_sequences
-                ]
-            return bindings[strand]
-
-        exact_prefix_set = set(forward_sequences)
-        residual_efficiency = self.config.residual_primer_efficiency
-        residual_primer = residual_forward_primer
-
-        for cycle in range(self.config.cycles):
-            in_touchdown = cycle < self.config.touchdown_cycles
-            misprime_factor = (
-                self.config.touchdown_mispriming_factor if in_touchdown else 1.0
-            )
+        for cycle in range(config.cycles):
+            in_touchdown = cycle < config.touchdown_cycles
+            misprime_factor = config.touchdown_mispriming_factor if in_touchdown else 1.0
             additions: dict[str, float] = {}
             new_products: dict[str, dict] = {}
-            max_gain = self.config.max_efficiency
             for strand, copies in result.species.items():
                 if copies <= 0.0:
                     continue
-                # Per-cycle gain of any single template is physically capped
-                # at one additional copy per existing copy (doubling), no
-                # matter how many primers can bind it.
-                self_gain = 0.0
-                # Products that start with a primer sequence amplify exactly.
-                if any(strand.startswith(fwd) for fwd in exact_prefix_set) and strand.endswith(reverse_primer):
-                    self_gain = max_gain
-                else:
-                    for binding in bindings_for(strand):
-                        if binding.exact:
-                            self_gain = max(self_gain, max_gain)
-                        elif binding.mispriming_efficiency > 0.0:
-                            gain = copies * binding.mispriming_efficiency * misprime_factor
-                            if gain <= 0.0:
-                                continue
-                            product = binding.product or strand
-                            additions[product] = additions.get(product, 0.0) + gain
-                            if product not in result.species and product not in new_products:
-                                source_meta = dict(result.annotations(strand))
-                                source_meta["misprimed"] = True
-                                new_products[product] = source_meta
-                # Residual main primers amplify everything in the partition.
-                if residual_efficiency > 0.0 and residual_primer is not None:
-                    if strand.startswith(residual_primer) and strand.endswith(reverse_primer):
-                        self_gain = max(self_gain, residual_efficiency)
-                if self_gain > 0.0:
-                    additions[strand] = additions.get(strand, 0.0) + copies * min(
-                        self_gain, max_gain
+                strand_plan = plans.get(strand)
+                if strand_plan is None:
+                    strand_plan = plans[strand] = self._plan_strand(
+                        strand, forward_sequences, reverse_primer, residual_forward_primer
                     )
+                self_gain, misprimes = strand_plan
+                for product, efficiency in misprimes:
+                    gain = copies * efficiency * misprime_factor
+                    if gain <= 0.0:
+                        continue
+                    additions[product] = additions.get(product, 0.0) + gain
+                    if product not in result.species and product not in new_products:
+                        source_meta = dict(result.annotations(strand))
+                        source_meta["misprimed"] = True
+                        new_products[product] = source_meta
+                if self_gain > 0.0:
+                    additions[strand] = additions.get(strand, 0.0) + copies * self_gain
             for strand, gain in additions.items():
                 result.species[strand] = result.species.get(strand, 0.0) + gain
             for strand, meta in new_products.items():

@@ -264,7 +264,7 @@ class TestByteIdentity:
 # Transport and robustness
 # ----------------------------------------------------------------------
 class TestEngineInternals:
-    def test_large_batches_cross_the_shm_threshold(self, workload):
+    def test_large_batches_decode_identically(self, workload):
         # Batches padded past 1 MiB per task travel over the executor
         # pipe like any other.
         store, blocks, reads = workload

@@ -1,13 +1,19 @@
 """Tests for the PCR simulator: amplification, mispriming, residual primers."""
 
+import hashlib
+
 import pytest
 
+import repro.wetlab.pcr as pcr_module
 from repro.core.partition import Partition, PartitionConfig
 from repro.exceptions import PCRError
 from repro.primers.library import PrimerPair
+from repro.store import DnaVolume, ObjectStore, VolumeConfig
 from repro.wetlab.pcr import PCRConfig, PCRSimulator
 from repro.wetlab.pool import MolecularPool
+from repro.wetlab.readout import WetlabReadout
 from repro.wetlab.synthesis import SynthesisVendor, synthesize
+from repro.workloads.objects import synthetic_object
 
 PAIR = PrimerPair("ATCGTGCAAGCTTGACCTGA", "CGTAGACTTGCAACTGGACT")
 
@@ -196,3 +202,102 @@ class TestPreciseAccess:
             pool, PAIR.forward, PAIR.reverse, residual_forward_primer=PAIR.forward
         )
         assert amplified.copies(strand) <= 2.0 + 1e-9
+
+
+#: SHA-256 over ``repr`` of every amplified pool's ``species`` items and
+#: ``metadata`` items, in :func:`_digest_cases` order, recorded before the
+#: binding memo and per-strand plan went in.  Any change to a copy count
+#: (to the last bit), to species order or to product metadata moves it.
+PCR_DIGEST = (
+    "2d7e00700ad579948f640434f258a2a43f6c6b05cb987cb747264364ab8f74b4"
+)
+
+
+def _digest_cases(partition):
+    """``(config, forward_primers, reverse, residual)`` per digest case."""
+    primer = partition.primer_for_block(2)
+    multiplex = [partition.primer_for_block(b) for b in (1, 4, 6)]
+    return [
+        (PCRConfig(), primer, PAIR.reverse, None),
+        (PCRConfig.touchdown(), primer, PAIR.reverse, PAIR.forward),
+        (PCRConfig(overwrite_prefix=False), primer, PAIR.reverse, None),
+        (PCRConfig(mismatch_penalty=0.0), primer, PAIR.reverse, None),
+        (PCRConfig(max_mispriming_distance=0), primer, PAIR.reverse, None),
+        (PCRConfig(mismatch_penalty=0.5), multiplex[:1], PAIR.reverse, None),
+        (PCRConfig(mismatch_penalty=0.5), multiplex[:2], PAIR.reverse, None),
+        (PCRConfig(mismatch_penalty=0.5), multiplex, PAIR.reverse, PAIR.forward),
+        (PCRConfig(), primer, "ACGTACGTACGTACGTACGT", None),
+    ]
+
+
+def _pcr_digest(partition, pool):
+    digest = hashlib.sha256()
+    for config, primers, reverse, residual in _digest_cases(partition):
+        amplified = PCRSimulator(config).amplify(
+            pool, primers, reverse, residual_forward_primer=residual
+        )
+        digest.update(repr(list(amplified.species.items())).encode())
+        digest.update(repr(list(amplified.metadata.items())).encode())
+    return digest.hexdigest()
+
+
+class TestPinnedAmplification:
+    def test_pools_match_pinned_digest(self):
+        partition = build_partition()
+        assert _pcr_digest(partition, build_pool(partition)) == PCR_DIGEST
+
+
+class TestBindingWork:
+    def test_one_distance_per_distinct_footprint_and_primer(self, monkeypatch):
+        """Across every unit of a plan, each (footprint, primer) pair costs
+        one banded Levenshtein call, however many units, cycles and
+        strands share it."""
+        store = ObjectStore(
+            DnaVolume(
+                config=VolumeConfig(
+                    partition_leaf_count=16, stripe_blocks=4, stripe_width=2
+                )
+            )
+        )
+        block_size = store.volume.block_size
+        store.put("book", synthetic_object(block_size * 16, seed=42))
+        store.update("book", 10, b"[patched]")
+        readout = WetlabReadout(store.volume, reads_per_block=4, seed=7)
+        # Five blocks over two partitions, neither read whole, so every
+        # reaction has off-target strands to score.
+        plan = store.read_plan("book", offset=2 * block_size, length=5 * block_size)
+        units = readout.plan_units(plan)
+        assert len({unit.partition for unit in units}) >= 2
+        assert any(len(unit.access.primers) > 1 for unit in units)
+
+        calls = []
+        original = pcr_module.levenshtein_distance
+
+        def counting(left, right, **kwargs):
+            calls.append((left, right))
+            return original(left, right, **kwargs)
+
+        monkeypatch.setattr(pcr_module, "levenshtein_distance", counting)
+        for unit in units:
+            readout.unit_reads(unit)
+
+        # A strand that one of the reaction's primers already prefixes
+        # amplifies exactly and is never scored against the others.
+        expected = set()
+        for unit in units:
+            reverse = store.volume.partition(unit.partition).config.primers.reverse
+            primers = [primer.sequence for primer in unit.access.primers]
+            for strand in readout.partition_pool(unit.partition).species:
+                if not strand.endswith(reverse):
+                    continue
+                if any(strand.startswith(primer) for primer in primers):
+                    continue
+                expected.update((strand[: len(primer)], primer) for primer in primers)
+        assert expected
+        assert len(calls) == len(expected)
+        assert set(calls) == expected
+
+        # A second pass over the same plan computes nothing new.
+        for unit in units:
+            readout.unit_reads(unit, batch_seed=1)
+        assert len(calls) == len(expected)
